@@ -1,4 +1,10 @@
-"""Experiment runner: generate addresses, build tries, aggregate metrics.
+"""Experiment runner: generate addresses, measure tries, aggregate metrics.
+
+Each trial's keys are measured by the sorted-LCP kernel
+:func:`pathlab.trie.sorted_shape`, which gives the depths, node counts
+and level census the pointer :class:`pathlab.trie.Trie` would, without
+building it; the ``Trie`` stays as the paper's instrument and the
+oracle the kernel is tested against.
 
 Reports are a pure function of the configuration. Each (size, trial)
 pair gets its own generator seed derived with splitmix64 from
@@ -13,8 +19,11 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import addrgen, model, stats
-from .trie import Trie
+from .keyspace import ADDRESS_BYTES
+from .trie import sorted_shape
 
 SCHEMA_VERSION = 1
 
@@ -116,31 +125,20 @@ class ExperimentReport:
 
 def run_trial(size: int, trial: int, cfg: ExperimentConfig) -> TrialResult:
     seed = trial_seed(cfg.master_seed, size, trial)
-    addresses = addrgen.generate(
-        addrgen.GeneratorConfig(mode=cfg.mode, seed=seed, count=size)
+    # Copied into fixed-width bytes, not b"".join, which holds an 80-byte
+    # buffer descriptor per key while it copies; the generator's list is
+    # freed before the kernel runs.
+    keys = np.array(
+        addrgen.generate(addrgen.GeneratorConfig(mode=cfg.mode, seed=seed, count=size)),
+        dtype=f"S{ADDRESS_BYTES}",
     )
-    trie = Trie()
-    for address in addresses:
-        trie.insert(address, b"")
-    metrics = trie.leaf_metrics()
-    census = {
-        depth: {
-            "branches": lc.branches,
-            "extensions": lc.extensions,
-            "leaves": lc.leaves,
-        }
-        for depth, lc in sorted(trie.level_census().items())
-    }
+    shape = sorted_shape(keys.view(np.uint8).reshape(-1, ADDRESS_BYTES))
     return TrialResult(
         size=size,
         trial=trial,
-        divergence_histogram=stats.PathLengthHistogram.from_depths(
-            m.divergence_depth for m in metrics.values()
-        ),
-        node_count_histogram=stats.PathLengthHistogram.from_depths(
-            m.node_count for m in metrics.values()
-        ),
-        level_census=census,
+        divergence_histogram=stats.PathLengthHistogram(shape.depths),
+        node_count_histogram=stats.PathLengthHistogram(shape.node_counts),
+        level_census=shape.census,
     )
 
 

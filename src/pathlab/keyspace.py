@@ -44,28 +44,25 @@ def format_address(address: bytes) -> str:
     return "0x" + address.hex()
 
 
+# Hex digit <-> nibble value, as byte-translation tables.
+_HEX_TO_NIBBLE = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+_NIBBLE_TO_HEX = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
+
+
 def to_nibbles(address: bytes) -> bytes:
     """Expand a 20-byte address into its 40-nibble path."""
     if len(address) != ADDRESS_BYTES:
         raise AddressError(f"address must be {ADDRESS_BYTES} bytes, got {len(address)}")
-    out = bytearray(ADDRESS_NIBBLES)
-    for i, b in enumerate(address):
-        out[2 * i] = b >> 4
-        out[2 * i + 1] = b & 0x0F
-    return bytes(out)
+    return address.hex().encode("ascii").translate(_HEX_TO_NIBBLE)
 
 
 def from_nibbles(path: bytes) -> bytes:
     """Pack a 40-nibble path back into 20 bytes; inverse of :func:`to_nibbles`."""
     if len(path) != ADDRESS_NIBBLES:
         raise AddressError(f"full key path must be {ADDRESS_NIBBLES} nibbles")
-    out = bytearray(ADDRESS_BYTES)
-    for i in range(ADDRESS_BYTES):
-        hi, lo = path[2 * i], path[2 * i + 1]
-        if hi > 15 or lo > 15:
-            raise AddressError("nibble out of range [0, 15]")
-        out[i] = (hi << 4) | lo
-    return bytes(out)
+    if max(path) > 15:
+        raise AddressError("nibble out of range [0, 15]")
+    return bytes.fromhex(bytes(path).translate(_NIBBLE_TO_HEX).decode("ascii"))
 
 
 def longest_common_prefix(a: bytes, b: bytes) -> int:

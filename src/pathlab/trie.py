@@ -8,13 +8,27 @@ extension-to-extension chains are never reachable.
 
 All stored keys are full 40-nibble paths (20-byte addresses), so branch
 value slots stay empty; the slot exists only for structural fidelity.
+
+:func:`sorted_shape` measures the same depths, node counts and census
+for a whole key set without building the trie; :class:`Trie` is the
+paper's instrument and the oracle the kernel is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
+from typing import NamedTuple
 
-from .keyspace import ADDRESS_NIBBLES, from_nibbles, to_nibbles
+import numpy as np
+
+from .keyspace import (
+    ADDRESS_BYTES,
+    ADDRESS_NIBBLES,
+    from_nibbles,
+    longest_common_prefix,
+    to_nibbles,
+)
 
 
 class Leaf:
@@ -100,14 +114,6 @@ class LevelCounts:
         return self.branches + self.extensions + self.leaves
 
 
-def _lcp(a: bytes, b: bytes) -> int:
-    n = min(len(a), len(b))
-    i = 0
-    while i < n and a[i] == b[i]:
-        i += 1
-    return i
-
-
 class Trie:
     """Mutable Patricia trie keyed by 20-byte addresses.
 
@@ -138,7 +144,7 @@ class Trie:
             return Leaf(path, value), True
         kind = type(node)
         if kind is Leaf:
-            c = _lcp(node.path, path)
+            c = longest_common_prefix(node.path, path)
             if c == len(path) and c == len(node.path):
                 node.value = value
                 return node, False
@@ -149,7 +155,7 @@ class Trie:
                 return Extension(path[:c], branch), True
             return branch, True
         if kind is Extension:
-            c = _lcp(node.path, path)
+            c = longest_common_prefix(node.path, path)
             if c == len(node.path):
                 node.child, added = self._insert(node.child, path[c:], value)
                 return node, added
@@ -314,3 +320,84 @@ def check_invariants(trie: Trie) -> None:
         else:
             raise AssertionError(f"unknown node type {kind}")
     assert leaves == trie.key_count, "key_count out of sync with leaves"
+
+
+class TrieShape(NamedTuple):
+    """What :class:`Trie` measures on a key set, without the trie.
+
+    depths: divergence depth -> number of keys (``leaf_metrics``).
+    node_counts: root-to-leaf node count -> number of keys.
+    census: nibble depth -> {"branches", "extensions", "leaves"} counts,
+        ascending, depths without nodes left out (``level_census``).
+    """
+
+    depths: dict[int, int]
+    node_counts: dict[int, int]
+    census: dict[int, dict[str, int]]
+
+
+def _histogram(values: np.ndarray) -> dict[int, int]:
+    return {k: c for k, c in enumerate(np.bincount(values).tolist()) if c}
+
+
+def sorted_shape(keys: np.ndarray) -> TrieShape:
+    """Measure the trie of ``keys``, an ``(n, 20)`` uint8 array, from the
+    longest common prefixes (LCPs) of lexicographically adjacent keys.
+
+    In sorted order a key's leaf hangs one nibble below its deepest
+    divergence from either neighbour, so its divergence depth is
+    ``1 + max(left LCP, right LCP)`` (Kasai et al., CPM 2001). The nodes
+    above the leaves are the lcp-interval tree (Abouelhoda, Kurtz &
+    Ohlebusch, J. Discrete Algorithms 2004), read here one nibble depth
+    ``d`` at a time: the runs of keys whose adjacent LCPs are all ``>= d``
+    are the trie positions at depth ``d``. A run holding an LCP equal to
+    ``d`` is a branch there; a run of two or more keys without one lies
+    inside an extension, which starts at ``d`` unless the same run was
+    already inside it at ``d - 1``.
+
+    Duplicate keys count once, as :meth:`Trie.insert` overwrites them.
+    """
+    keys = np.ascontiguousarray(keys, dtype=np.uint8)
+    if keys.ndim != 2 or keys.shape[1] != ADDRESS_BYTES:
+        raise ValueError(f"keys must be an (n, {ADDRESS_BYTES}) array, got {keys.shape}")
+    if not len(keys):
+        return TrieShape({}, {}, {})
+    # Fixed-width byte strings sort by unsigned byte order, as the keys do.
+    ordered = np.sort(keys.view(f"S{ADDRESS_BYTES}").ravel())
+    ordered = ordered.view(np.uint8).reshape(-1, ADDRESS_BYTES)
+    diff = ordered[1:] ^ ordered[:-1]
+    first = (diff != 0).argmax(axis=1)
+    byte = diff[np.arange(len(diff)), first]
+    lcp = (2 * first + (byte < 16)).astype(np.int8)
+    lcp = lcp[byte != 0]  # an all-zero xor is a duplicate key
+    n = len(lcp) + 1
+
+    padded = np.full(n + 1, -1, np.int8)
+    padded[1:-1] = lcp
+    depth = np.maximum(padded[:-1], padded[1:]) + 1
+
+    node_counts = np.ones(n, np.int8)
+    branches, extensions = [], []
+    in_extension = np.zeros(n, bool)
+    run_start = np.ones(n, bool)
+    run = np.zeros(n, np.int32)
+    for d in range(int(lcp.max(initial=-1)) + 1):
+        np.less(lcp, d, out=run_start[1:])
+        np.cumsum(run_start[1:], out=run[1:])
+        branched = np.zeros(int(run[-1]) + 1, bool)
+        branched[run[1:][lcp == d]] = True
+        on_branch = branched[run]
+        inside = (depth > d) & ~on_branch
+        starts = inside & ~in_extension
+        node_counts += on_branch
+        node_counts += starts
+        branches.append(int(np.count_nonzero(branched)))
+        extensions.append(int(np.count_nonzero(starts & run_start)))
+        in_extension = inside
+
+    census = {}
+    levels = zip_longest(branches, extensions, np.bincount(depth).tolist(), fillvalue=0)
+    for d, counts in enumerate(levels):
+        if any(counts):
+            census[d] = dict(zip(("branches", "extensions", "leaves"), counts))
+    return TrieShape(_histogram(depth), _histogram(node_counts), census)
