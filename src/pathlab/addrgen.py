@@ -70,18 +70,19 @@ def crypto_derive(private_key: bytes | int) -> bytes:
     return keccak256(public)[-20:]
 
 
-def generate(cfg: GeneratorConfig) -> list[bytes]:
-    """Produce ``cfg.count`` addresses; bit-exact for identical configs."""
+def generate(cfg: GeneratorConfig) -> np.ndarray:
+    """Produce ``cfg.count`` addresses as a ``(count, 20)`` uint8 array, one
+    address per row; bit-exact for identical configs."""
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
     if cfg.mode == "uniform":
-        raw = rng.integers(0, 256, size=(cfg.count, 20), dtype=np.uint8)
-        return [row.tobytes() for row in raw]
-    addresses = []
-    while len(addresses) < cfg.count:
-        scalar = int.from_bytes(rng.integers(0, 256, size=32, dtype=np.uint8).tobytes(), "big")
-        if not 1 <= scalar <= SECP256K1_ORDER - 1:
-            continue  # rejection keeps the scalar uniform over the group
-        addresses.append(crypto_derive(scalar))
+        return rng.integers(0, 256, size=(cfg.count, 20), dtype=np.uint8)
+    addresses = np.empty((cfg.count, 20), dtype=np.uint8)
+    for row in addresses:
+        scalar = 0
+        while not 1 <= scalar <= SECP256K1_ORDER - 1:
+            # rejection keeps the scalar uniform over the group
+            scalar = int.from_bytes(rng.integers(0, 256, size=32, dtype=np.uint8).tobytes(), "big")
+        row[:] = np.frombuffer(crypto_derive(scalar), dtype=np.uint8)
     return addresses
 
 

@@ -1,8 +1,9 @@
 """Command-line harness.
 
-Subcommands: ``model`` (analytic queries), ``simulate`` (seeded
-Monte-Carlo report), ``validate`` (simulate + model comparison +
-chi-square), ``tables`` (reference-table reproduction).
+Subcommands: ``model`` (analytic queries), ``simulate`` and ``validate``
+(one seeded Monte-Carlo experiment with model comparison and chi-square
+tests; ``simulate`` defaults to the JSON report, ``validate`` to
+markdown), ``tables`` (reference-table reproduction).
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime error.
 ``PATHLAB_SEED`` supplies the default master seed when ``--seed`` is
@@ -28,17 +29,21 @@ from .report import FormatError, model_query, render_report, reproduce_tables
 
 _FORMAT_NAMES = {"md": "markdown", "csv": "csv", "json": "json"}
 
-_format_option = click.option(
-    "--format", "fmt", type=click.Choice(sorted(_FORMAT_NAMES)), default="md",
-    show_default=True, help="Output format.",
-)
+
+def _format_option(default: str):
+    return click.option(
+        "--format", "fmt", type=click.Choice(sorted(_FORMAT_NAMES)),
+        default=default, show_default=True, help="Output format.",
+    )
+
+
 _seed_option = click.option(
     "--seed", type=int, envvar="PATHLAB_SEED", default=0, show_default=True,
     help="Master seed (env PATHLAB_SEED when omitted).",
 )
 _jobs_option = click.option(
     "--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-    help="Worker threads for trials.",
+    help="Accepted for compatibility; trials always run serially.",
 )
 
 
@@ -59,7 +64,7 @@ def cli():
               help="Number of keys in the modeled trie.")
 @click.option("--kmax", type=click.IntRange(min=1, max=model.MAX_PATH_LENGTH),
               default=model.MAX_PATH_LENGTH, show_default=True)
-@_format_option
+@_format_option("md")
 def model_cmd(n: int, kmax: int, fmt: str):
     """Print the analytic path-length distribution for N keys."""
     click.echo(model_query(n, kmax, _FORMAT_NAMES[fmt]), nl=False)
@@ -89,48 +94,37 @@ def _experiment_options(fn):
     return fn
 
 
-def _run(sizes, trials, seed, mode, kmax, min_expected, allow_large, jobs, fmt):
-    cfg = ExperimentConfig(
-        sizes=sizes, trials=trials, master_seed=seed, mode=mode, k_max=kmax,
-        output_format=_FORMAT_NAMES[fmt], min_expected=min_expected,
-        allow_large=allow_large,
-    )
-    if any(s > LARGE_SIZE_THRESHOLD for s in sizes):
-        click.echo(
-            f"warning: sizes above {LARGE_SIZE_THRESHOLD} may take a long time",
-            err=True,
+def _experiment_command(name: str, default_fmt: str, help_text: str):
+    @cli.command(name, help=help_text)
+    @_experiment_options
+    @_format_option(default_fmt)
+    def command(sizes, trials, seed, mode, kmax, min_expected, allow_large,
+                jobs, out, fmt):
+        cfg = ExperimentConfig(
+            sizes=sizes, trials=trials, master_seed=seed, mode=mode, k_max=kmax,
+            min_expected=min_expected, allow_large=allow_large,
         )
-    report = run_experiment(cfg, jobs=jobs)
-    return render_report(report, _FORMAT_NAMES[fmt])
+        if any(s > LARGE_SIZE_THRESHOLD for s in sizes):
+            click.echo(
+                f"warning: sizes above {LARGE_SIZE_THRESHOLD} may take a long time",
+                err=True,
+            )
+        text = render_report(run_experiment(cfg, jobs=jobs), _FORMAT_NAMES[fmt])
+        if out:
+            with open(out, "w") as fh:
+                fh.write(text)
+        else:
+            click.echo(text, nl=False)
+
+    return command
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
-
-
-@cli.command()
-@_experiment_options
-@click.option("--format", "fmt", type=click.Choice(sorted(_FORMAT_NAMES)),
-              default="json", show_default=True)
-def simulate(sizes, trials, seed, mode, kmax, min_expected, allow_large, jobs,
-             out, fmt):
-    """Run seeded trials and emit the full experiment report."""
-    _emit(_run(sizes, trials, seed, mode, kmax, min_expected, allow_large,
-               jobs, fmt), out)
-
-
-@cli.command()
-@_experiment_options
-@_format_option
-def validate(sizes, trials, seed, mode, kmax, min_expected, allow_large, jobs,
-             out, fmt):
-    """Simulate, compare against the model, and run chi-square tests."""
-    _emit(_run(sizes, trials, seed, mode, kmax, min_expected, allow_large,
-               jobs, fmt), out)
+simulate = _experiment_command(
+    "simulate", "json", "Run seeded trials and emit the full experiment report."
+)
+validate = _experiment_command(
+    "validate", "md", "Simulate, compare against the model, and run chi-square tests."
+)
 
 
 @cli.command()

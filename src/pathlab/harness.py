@@ -9,20 +9,16 @@ oracle the kernel is tested against.
 Reports are a pure function of the configuration. Each (size, trial)
 pair gets its own generator seed derived with splitmix64 from
 (master_seed, size, trial), so adding sizes or trials never perturbs the
-address streams of existing ones, and trials may run on any schedule
-(sequential or thread pool) without changing the result.
+address streams of existing ones. Trials run serially, one after
+another.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import addrgen, model, stats
-from .keyspace import ADDRESS_BYTES
 from .trie import sorted_shape
 
 SCHEMA_VERSION = 1
@@ -46,7 +42,6 @@ class ExperimentConfig:
     master_seed: int = 0
     mode: str = "uniform"
     k_max: int = model.MAX_PATH_LENGTH
-    output_format: str = "json"
     min_expected: float = 5.0
     allow_large: bool = False
 
@@ -125,14 +120,9 @@ class ExperimentReport:
 
 def run_trial(size: int, trial: int, cfg: ExperimentConfig) -> TrialResult:
     seed = trial_seed(cfg.master_seed, size, trial)
-    # Copied into fixed-width bytes, not b"".join, which holds an 80-byte
-    # buffer descriptor per key while it copies; the generator's list is
-    # freed before the kernel runs.
-    keys = np.array(
-        addrgen.generate(addrgen.GeneratorConfig(mode=cfg.mode, seed=seed, count=size)),
-        dtype=f"S{ADDRESS_BYTES}",
+    shape = sorted_shape(
+        addrgen.generate(addrgen.GeneratorConfig(mode=cfg.mode, seed=seed, count=size))
     )
-    shape = sorted_shape(keys.view(np.uint8).reshape(-1, ADDRESS_BYTES))
     return TrialResult(
         size=size,
         trial=trial,
@@ -202,30 +192,15 @@ def _aggregate(size: int, trials: list[TrialResult], cfg: ExperimentConfig) -> S
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
-    """Run every (size, trial) pair and aggregate per size.
+    """Run the trials of each size serially and aggregate them per size.
 
-    ``jobs`` > 1 runs trials on a thread pool; the report is identical
-    either way because aggregation is keyed, not schedule-ordered.
+    ``jobs`` is accepted for compatibility and does not change how trials
+    run.
     """
-    tasks = [(size, t) for size in cfg.sizes for t in range(cfg.trials)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            trial_results = list(
-                pool.map(lambda st: run_trial(st[0], st[1], cfg), tasks)
-            )
-    else:
-        trial_results = [run_trial(size, t, cfg) for size, t in tasks]
-
-    by_size: dict[int, list[TrialResult]] = {size: [] for size in cfg.sizes}
-    for result in trial_results:
-        by_size[result.size].append(result)
-    for group in by_size.values():
-        group.sort(key=lambda r: r.trial)
-
-    report = ExperimentReport(config=cfg)
-    for size in cfg.sizes:
-        report.results.append(_aggregate(size, by_size[size], cfg))
-    return report
+    return ExperimentReport(config=cfg, results=[
+        _aggregate(size, [run_trial(size, t, cfg) for t in range(cfg.trials)], cfg)
+        for size in cfg.sizes
+    ])
 
 
 # -- serialization --------------------------------------------------------
@@ -250,7 +225,8 @@ def report_to_dict(report: ExperimentReport) -> dict:
             "master_seed": cfg.master_seed,
             "mode": cfg.mode,
             "k_max": cfg.k_max,
-            "output_format": cfg.output_format,
+            # Schema v1 keeps this key; a JSON report is only ever rendered as JSON.
+            "output_format": "json",
             "min_expected": cfg.min_expected,
         },
         "results": [

@@ -23,23 +23,38 @@ def first_nibble_uniformity_p(addresses):
 
 
 def test_empty_batch():
-    assert generate(GeneratorConfig(count=0)) == []
+    batch = generate(GeneratorConfig(count=0))
+    assert batch.shape == (0, 20)
+    assert batch.dtype == np.uint8
 
 
 def test_determinism():
     cfg = GeneratorConfig(mode="uniform", seed=123, count=500)
-    assert generate(cfg) == generate(cfg)
+    assert np.array_equal(generate(cfg), generate(cfg))
 
 
 def test_crypto_determinism():
     cfg = GeneratorConfig(mode="crypto", seed=9, count=5)
-    assert generate(cfg) == generate(cfg)
+    assert np.array_equal(generate(cfg), generate(cfg))
 
 
 def test_distinct_seeds_differ():
     a = generate(GeneratorConfig(seed=1, count=10))
     b = generate(GeneratorConfig(seed=2, count=10))
-    assert a != b
+    assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("mode, first, second", [
+    ("uniform", "5f82c2d9cfeb0fa321d7d982f8bd1045b8e8cd4e",
+     "a93d7d0a1df04213b6273b043b51de2c787a32d0"),
+    ("crypto", "ca8cfeb204289fbb3bab6a6b4d11cdef70b84352",
+     "248f51ca0935ab012bd4b0b6fabf2e5f4fc6dabd"),
+])
+def test_pinned_first_keys(mode, first, second):
+    """The key streams are part of every report: a change to how a batch
+    is drawn changes every published result."""
+    batch = generate(GeneratorConfig(mode=mode, seed=0, count=2))
+    assert [bytes(row).hex() for row in batch] == [first, second]
 
 
 def test_nibble_position_frequencies_within_4_sigma():
@@ -47,7 +62,7 @@ def test_nibble_position_frequencies_within_4_sigma():
     n = len(addresses)
     p = 1 / 16
     sigma = math.sqrt(p * (1 - p) / n)
-    nibbles = np.array([list(to_nibbles(a)) for a in addresses])
+    nibbles = np.array([list(to_nibbles(bytes(row))) for row in addresses])
     for pos in range(40):
         counts = np.bincount(nibbles[:, pos], minlength=16)
         for digit in range(16):

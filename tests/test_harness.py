@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -80,6 +81,12 @@ def test_pooled_totals():
         assert len(result.trial_avg_divergence_depths) == 3
 
 
+def test_repeated_size_pools_its_own_trials():
+    report = run_experiment(ExperimentConfig(sizes=(100, 100), trials=2, master_seed=1))
+    assert [r.histogram.total for r in report.results] == [200, 200]
+    assert report.results[0].histogram.counts == report.results[1].histogram.counts
+
+
 def test_report_determinism_two_runs():
     a = report_to_json(run_experiment(small_config()))
     b = report_to_json(run_experiment(small_config()))
@@ -90,6 +97,19 @@ def test_report_determinism_parallel():
     sequential = report_to_json(run_experiment(small_config(), jobs=1))
     parallel = report_to_json(run_experiment(small_config(), jobs=4))
     assert sequential == parallel
+
+
+@pytest.mark.parametrize("cfg, sha256", [
+    (ExperimentConfig(sizes=(100, 1_000), trials=3, master_seed=77),
+     "a48aacf6b853fc746c5b71b2d5aa6a6bf342b9ee021b4350b415ec363ff3733b"),
+    (ExperimentConfig(sizes=(50,), trials=1, master_seed=3, mode="crypto"),
+     "30399011719064a9cdd13ffa7b564e1560a9e4e468552d38bd5c86292267df5f"),
+])
+def test_report_bytes_pinned(cfg, sha256):
+    """Reports are byte-identical across versions of the program, not only
+    across reruns of one version."""
+    report = report_to_json(run_experiment(cfg)).encode()
+    assert hashlib.sha256(report).hexdigest() == sha256
 
 
 def test_report_json_roundtrip():
