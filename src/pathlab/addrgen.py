@@ -11,8 +11,11 @@ Two modes:
   secp256k1 private scalar, scalar-multiplied onto the generator point,
   with the address taken as the last 20 bytes of the Keccak-256 hash of
   the 64-byte uncompressed public-key coordinates (X || Y, no 0x04
-  prefix byte). Roughly three orders of magnitude slower and
-  statistically indistinguishable from ``uniform``.
+  prefix byte). A trial's keys are derived together, in batches of
+  up to 4,096: fixed-base windowed scalar multiplication with one shared
+  inversion (``pathlab.secp256k1``), then Keccak-256 over numpy lanes
+  (``pathlab.keccak``). About 0.3 ms per key, against microseconds for
+  ``uniform``, and statistically indistinguishable from it.
 """
 
 from __future__ import annotations
@@ -22,15 +25,16 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from cryptography.hazmat.primitives.asymmetric import ec
 
-from .keccak import keccak256
-
-SECP256K1_ORDER = int(
-    "FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141", 16
-)
+from .keccak import keccak256, keccak256_rows
+from .secp256k1 import ORDER as SECP256K1_ORDER
+from .secp256k1 import public_keys
 
 ADDRESS_SPACE_BITS = 160
+# Keys derived per batch in crypto mode: large enough that the per-batch
+# array work is negligible, small enough that the batch's Keccak lanes
+# (25 x 8 bytes per key) and points stay a few MB at any trial size.
+CRYPTO_BATCH = 4096
 
 
 class InvalidPrivateKeyError(ValueError):
@@ -55,19 +59,25 @@ def crypto_derive(private_key: bytes | int) -> bytes:
 
     Accepts a 32-byte big-endian scalar or an int.
     """
-    scalar = (
-        int.from_bytes(private_key, "big")
-        if isinstance(private_key, bytes)
-        else private_key
-    )
-    if not 1 <= scalar <= SECP256K1_ORDER - 1:
+    if isinstance(private_key, bytes):
+        if len(private_key) != 32:
+            raise InvalidPrivateKeyError(
+                f"private key must be 32 bytes, got {len(private_key)}"
+            )
+        private_key = int.from_bytes(private_key, "big")
+    if not 1 <= private_key <= SECP256K1_ORDER - 1:
         raise InvalidPrivateKeyError(
             "private key must be in [1, secp256k1 group order - 1]"
         )
-    key = ec.derive_private_key(scalar, ec.SECP256K1())
-    numbers = key.public_key().public_numbers()
-    public = numbers.x.to_bytes(32, "big") + numbers.y.to_bytes(32, "big")
-    return keccak256(public)[-20:]
+    return keccak256(public_keys([private_key]).tobytes())[-20:]
+
+
+def _draw_scalar(rng: np.random.Generator) -> int:
+    scalar = 0
+    while not 1 <= scalar <= SECP256K1_ORDER - 1:
+        # rejection keeps the scalar uniform over the group
+        scalar = int.from_bytes(rng.integers(0, 256, size=32, dtype=np.uint8).tobytes(), "big")
+    return scalar
 
 
 def generate(cfg: GeneratorConfig) -> np.ndarray:
@@ -77,12 +87,10 @@ def generate(cfg: GeneratorConfig) -> np.ndarray:
     if cfg.mode == "uniform":
         return rng.integers(0, 256, size=(cfg.count, 20), dtype=np.uint8)
     addresses = np.empty((cfg.count, 20), dtype=np.uint8)
-    for row in addresses:
-        scalar = 0
-        while not 1 <= scalar <= SECP256K1_ORDER - 1:
-            # rejection keeps the scalar uniform over the group
-            scalar = int.from_bytes(rng.integers(0, 256, size=32, dtype=np.uint8).tobytes(), "big")
-        row[:] = np.frombuffer(crypto_derive(scalar), dtype=np.uint8)
+    for start in range(0, cfg.count, CRYPTO_BATCH):
+        rows = addresses[start : start + CRYPTO_BATCH]
+        scalars = [_draw_scalar(rng) for _ in rows]
+        rows[:] = keccak256_rows(public_keys(scalars))[:, 12:]
     return addresses
 
 

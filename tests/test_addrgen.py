@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pathlab
+from pathlab import addrgen
 from pathlab.addrgen import (
     SECP256K1_ORDER,
     GeneratorConfig,
@@ -76,7 +81,7 @@ def test_first_nibble_chi_square_100k():
 
 
 def test_crypto_mode_uniformity():
-    # smaller batch than uniform mode: full pipeline is ~1000x slower
+    # smaller batch than uniform mode: the full pipeline costs ~0.3 ms per key
     addresses = generate(GeneratorConfig(mode="crypto", seed=5, count=8_000))
     assert first_nibble_uniformity_p(addresses) > 0.001
 
@@ -107,6 +112,60 @@ def test_crypto_derive_rejects_zero():
 def test_crypto_derive_rejects_group_order():
     with pytest.raises(InvalidPrivateKeyError):
         crypto_derive(SECP256K1_ORDER)
+
+
+@pytest.mark.parametrize("length", [0, 31, 33])
+def test_crypto_derive_rejects_wrong_key_length(length):
+    """Only a 32-byte scalar is a private key, even when a shorter or
+    zero-padded longer one would read as a valid integer."""
+    with pytest.raises(InvalidPrivateKeyError, match="32 bytes"):
+        crypto_derive(b"\x00" * (length - 1) + b"\x01" if length else b"")
+
+
+def _drawn_scalars(seed, count):
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    scalars = []
+    while len(scalars) < count:
+        scalar = int.from_bytes(rng.integers(0, 256, size=32, dtype=np.uint8).tobytes(), "big")
+        if 1 <= scalar < SECP256K1_ORDER:
+            scalars.append(scalar)
+    return scalars
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_crypto_batch_matches_per_key_derivation(seed):
+    batch = generate(GeneratorConfig(mode="crypto", seed=seed, count=12))
+    assert [bytes(row) for row in batch] == [
+        crypto_derive(k) for k in _drawn_scalars(seed, 12)
+    ]
+
+
+def test_crypto_batch_size_does_not_change_keys(monkeypatch):
+    cfg = GeneratorConfig(mode="crypto", seed=4, count=10)
+    whole = generate(cfg)
+    monkeypatch.setattr(addrgen, "CRYPTO_BATCH", 3)
+    assert np.array_equal(generate(cfg), whole)
+
+
+def test_crypto_mode_needs_no_cryptography_package():
+    """The curve arithmetic is pathlab's own; ``cryptography`` is a test
+    oracle only, and importing it costs every run memory."""
+    script = """
+import sys
+import pathlab.cli
+from pathlab import addrgen
+addrgen.generate(addrgen.GeneratorConfig(mode="crypto", seed=1, count=3))
+print(" ".join(m for m in sys.modules if m.split(".")[0] == "cryptography"))
+"""
+    src = os.path.dirname(os.path.dirname(pathlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert out.stdout.split() == []
 
 
 def test_collision_probability_zero():
