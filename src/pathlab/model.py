@@ -8,10 +8,10 @@ key's path length equals ``k`` is
 Powers of near-one bases are evaluated as ``exp(n * log1p(-x))``; naive
 powering loses every significant digit once x drops toward 16^-41.
 
-The model treats per-key prefix-sharing events as independent, so it is
-an approximation: it is accurate to Monte-Carlo tolerance for n >= 100
-but is not exact for tiny n (exact divergence probability for n = 2 is
-15/16, while pmf(1, 2) is about 0.8824).
+This is the published formula. The exact per-leaf law is
+P(D <= k) = (1 - 16^-k)^(n-1), and the formula differs from it by the
+factor 15/16 and the exponent n: the exact P(D = 1) for n = 2 is 15/16,
+while pmf(1, 2) is about 0.8824.
 """
 
 from __future__ import annotations

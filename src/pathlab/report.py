@@ -45,17 +45,18 @@ def _f2(x: float) -> str:
 
 # -- model query ----------------------------------------------------------
 
+# No commas: the note is also a CSV value.
 SMALL_N_NOTE = (
-    "note: the model is an independence approximation; for n below 100 "
-    "its probabilities deviate measurably from exact values"
+    "note: the model is the published formula; the exact per-leaf law is "
+    "P(D <= k) = (1 - 16^-k)^(n-1) and the formula differs from it by the "
+    "factor 15/16 and the exponent n"
 )
 
 
-def model_query(n: int, k_max: int = model.MAX_PATH_LENGTH,
-                fmt: str = "markdown") -> str:
+def model_query(n: int, fmt: str = "markdown") -> str:
     """Render the analytic distribution and summary statistics for n keys."""
     _check_format(fmt)
-    dist = model.distribution(model.ModelParams(n=n, k_max=k_max))
+    dist = model.distribution(model.ModelParams(n=n))
     expected = model.expected_path_length(n)
     ratio = model.asymptotic_ratio(n) if n >= 2 else None
     collision = collision_probability(n)
@@ -64,7 +65,7 @@ def model_query(n: int, k_max: int = model.MAX_PATH_LENGTH,
     if fmt == "json":
         payload = {
             "n": n,
-            "k_max": k_max,
+            "k_max": model.MAX_PATH_LENGTH,
             "pmf": {str(k): p for k, p in sorted(dist.probabilities.items())},
             "expected_path_length": expected,
             "mode": dist.mode,
@@ -191,7 +192,7 @@ def render_report(report: ExperimentReport, fmt: str = "markdown") -> str:
 
 
 def reproduce_tables(out_dir: str | Path, master_seed: int = 0,
-                     trials: int = 10, jobs: int = 1) -> list[Path]:
+                     trials: int = 10) -> list[Path]:
     """Emit the six reference tables into ``out_dir``.
 
     Four per-size distribution tables, the average-path-length table,
@@ -203,7 +204,7 @@ def reproduce_tables(out_dir: str | Path, master_seed: int = 0,
     cfg = ExperimentConfig(
         sizes=tuple(DEFAULT_SIZES), trials=trials, master_seed=master_seed
     )
-    report = run_experiment(cfg, jobs=jobs)
+    report = run_experiment(cfg)
     paths = []
 
     for i, r in enumerate(report.results, start=1):

@@ -130,63 +130,74 @@ class ChiSquareResult:
     merged_bins: str
 
 
-def chi_square_counts(
-    observed: PathLengthHistogram,
-    theoretical_probs: Mapping[int, float],
-    min_expected: float = 5.0,
-) -> ChiSquareResult:
-    """Standard count-based goodness-of-fit test with bin merging.
+# Cochran's rule: every bin of a count chi-square should expect at least 5.
+MIN_EXPECTED = 5.0
 
-    Bins whose expected count (total * p) falls below ``min_expected``
-    are merged into a neighbouring bin, working from the extreme tails
-    inward, until every remaining bin meets the threshold.
+
+def merge_plan(
+    expected: Mapping[int, float], min_expected: float = MIN_EXPECTED
+) -> list[list]:
+    """Merge the bins of ``expected`` (path length -> expected count) whose
+    count falls below ``min_expected`` into a neighbour, from the extreme
+    tails inward, and return ``[path lengths, expected count]`` per bin.
+    Raises :class:`InsufficientBinsError` unless two or more bins remain.
     """
-    total = observed.total
-    if total == 0:
-        raise StatsError("observed histogram is empty")
     if min_expected <= 0:
         raise StatsError("min_expected must be positive")
-
-    support = sorted(set(theoretical_probs) | set(observed.counts))
-    # bin: [labels, observed count, expected count]
-    bins = [
-        [[k], observed.counts.get(k, 0), total * theoretical_probs.get(k, 0.0)]
-        for k in support
-    ]
+    bins = [[[k], expected[k]] for k in sorted(expected)]
 
     def merge_into(src: int, dst: int):
         bins[dst][0] = bins[min(src, dst)][0] + bins[max(src, dst)][0]
         bins[dst][1] += bins[src][1]
-        bins[dst][2] += bins[src][2]
         del bins[src]
 
-    while len(bins) > 1 and bins[0][2] < min_expected:
+    while len(bins) > 1 and bins[0][1] < min_expected:
         merge_into(0, 1)
-    while len(bins) > 1 and bins[-1][2] < min_expected:
+    while len(bins) > 1 and bins[-1][1] < min_expected:
         merge_into(len(bins) - 1, len(bins) - 2)
     while len(bins) > 2:
-        idx = min(range(len(bins)), key=lambda i: bins[i][2])
-        if bins[idx][2] >= min_expected:
+        idx = min(range(len(bins)), key=lambda i: bins[i][1])
+        if bins[idx][1] >= min_expected:
             break
         # interior stragglers join whichever neighbour is smaller
         left, right = idx - 1, idx + 1
         if left < 0:
             merge_into(idx, right)
-        elif right >= len(bins) or bins[left][2] <= bins[right][2]:
+        elif right >= len(bins) or bins[left][1] <= bins[right][1]:
             merge_into(idx, left)
         else:
             merge_into(idx, right)
 
-    if len(bins) < 2 or any(b[2] < min_expected for b in bins):
+    if len(bins) < 2 or any(b[1] < min_expected for b in bins):
         raise InsufficientBinsError(
             "fewer than two valid bins remain after merging"
         )
+    return bins
 
-    stat = sum((obs - exp) ** 2 / exp for _, obs, exp in bins)
-    dof = len(bins) - 1
+
+def chi_square_counts(
+    observed: PathLengthHistogram,
+    theoretical_probs: Mapping[int, float],
+    min_expected: float = MIN_EXPECTED,
+) -> ChiSquareResult:
+    """Standard count-based goodness-of-fit test over the bins of
+    :func:`merge_plan`, with expected count total * p per path length."""
+    total = observed.total
+    if total == 0:
+        raise StatsError("observed histogram is empty")
+
+    support = set(theoretical_probs) | set(observed.counts)
+    plan = merge_plan(
+        {k: total * theoretical_probs.get(k, 0.0) for k in support}, min_expected
+    )
+    stat = sum(
+        (sum(observed.counts.get(k, 0) for k in labels) - exp) ** 2 / exp
+        for labels, exp in plan
+    )
+    dof = len(plan) - 1
     described = ", ".join(
         str(labels[0]) if len(labels) == 1 else f"{labels[0]}-{labels[-1]}"
-        for labels, _, _ in bins
+        for labels, _ in plan
     )
     return ChiSquareResult(stat, dof, p_value(stat, dof), f"bins: {described}")
 

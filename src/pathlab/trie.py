@@ -115,10 +115,7 @@ class LevelCounts:
 
 
 class Trie:
-    """Mutable Patricia trie keyed by 20-byte addresses.
-
-    Single-writer; build one trie per trial when parallelising.
-    """
+    """Mutable Patricia trie keyed by 20-byte addresses; single-writer."""
 
     def __init__(self):
         self.root = None

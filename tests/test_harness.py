@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from pathlab import harness
 from pathlab.harness import (
     ConfigError,
     ExperimentConfig,
@@ -35,6 +36,23 @@ def test_config_rejects_tiny_size():
 def test_config_rejects_zero_trials():
     with pytest.raises(ConfigError):
         ExperimentConfig(sizes=(100,), trials=0)
+
+
+@pytest.mark.parametrize("size, trials", [(30, 1), (2, 10)])
+def test_too_few_keys_for_two_bins_rejected_before_any_trial(monkeypatch, size, trials):
+    def no_trial(*_args):
+        raise AssertionError("a trial ran before the config was checked")
+
+    monkeypatch.setattr(harness, "run_trial", no_trial)
+    cfg = ExperimentConfig(sizes=(100, size), trials=trials)
+    with pytest.raises(ConfigError, match=f"size {size} with trials {trials} "):
+        run_experiment(cfg)
+
+
+@pytest.mark.parametrize("size", [20, 50])
+def test_enough_keys_for_two_bins_accepted(size):
+    cfg = ExperimentConfig(sizes=(size,), trials=1)
+    assert run_experiment(cfg).results[0].chi_square_counts.dof >= 1
 
 
 def test_config_large_sizes_need_opt_in():
@@ -91,12 +109,6 @@ def test_report_determinism_two_runs():
     a = report_to_json(run_experiment(small_config()))
     b = report_to_json(run_experiment(small_config()))
     assert a == b
-
-
-def test_report_determinism_parallel():
-    sequential = report_to_json(run_experiment(small_config(), jobs=1))
-    parallel = report_to_json(run_experiment(small_config(), jobs=4))
-    assert sequential == parallel
 
 
 @pytest.mark.parametrize("cfg, sha256", [

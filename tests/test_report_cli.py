@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from pathlab.cli import cli, main
-from pathlab.harness import ExperimentConfig, run_experiment
+from pathlab.harness import ExperimentConfig, report_to_json, run_experiment
 from pathlab.report import (
     DISTRIBUTION_CSV_HEADER,
     FormatError,
@@ -28,7 +28,7 @@ def test_model_query_large_trie():
 
 def test_model_query_boundary_n1():
     text = model_query(1, fmt="markdown")
-    assert "independence approximation" in text
+    assert "exact per-leaf law" in text
     payload = json.loads(model_query(1, fmt="json"))
     assert payload["asymptotic_ratio"] is None
     assert "note" in payload
@@ -150,3 +150,24 @@ def test_cli_large_size_warns():
         ["simulate", "--sizes", "100", "--trials", "1"],
     )
     assert "warning" not in result.output
+
+
+@pytest.mark.parametrize("sizes, trials, mode, jobs, allow_large", [
+    ((50,), 2, "crypto", 2, False),
+    ((100_001,), 1, "uniform", 1, True),
+])
+def test_cli_benchmark_argv_writes_the_report(tmp_path, sizes, trials, mode, jobs,
+                                              allow_large):
+    """The benchmark's argv shape, hidden and ignored ``--jobs`` included,
+    writes exactly the report of the config it names."""
+    out = tmp_path / "report.json"
+    argv = [
+        "validate", "--sizes", ",".join(map(str, sizes)), "--trials", str(trials),
+        "--seed", "1", "--mode", mode, "--jobs", str(jobs),
+        "--format", "json", "--out", str(out),
+    ] + (["--allow-large"] if allow_large else [])
+    assert main(argv) == 0
+    cfg = ExperimentConfig(sizes=sizes, trials=trials, master_seed=1, mode=mode,
+                           allow_large=allow_large)
+    assert out.read_text() == report_to_json(run_experiment(cfg))
+    assert "--jobs" not in CliRunner().invoke(cli, ["validate", "--help"]).output
