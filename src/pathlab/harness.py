@@ -4,7 +4,11 @@ Each trial's keys are measured by the sorted-LCP kernel
 :func:`pathlab.trie.sorted_shape`, which gives the depths, node counts
 and level census the pointer :class:`pathlab.trie.Trie` would, without
 building it; the ``Trie`` stays as the paper's instrument and the
-oracle the kernel is tested against.
+oracle the kernel is tested against. The kernel sorts 8-byte key
+prefixes as integers, so a trial's memory is a small multiple of its
+keys' 20 bytes each: sizes above ``LARGE_SIZE_THRESHOLD`` need
+``allow_large``, and ``MAX_SIZE`` (10,000,000 keys, about 475 MB peak
+RSS) is the most one trial may hold.
 
 Reports are a pure function of the configuration. Each (size, trial)
 pair gets its own generator seed derived with splitmix64 from
@@ -28,7 +32,7 @@ DEFAULT_TRIALS = 10
 
 # Sizes past the largest validated scale need an explicit opt-in.
 LARGE_SIZE_THRESHOLD = 100_000
-MAX_SIZE = 1_000_000
+MAX_SIZE = 10_000_000
 
 
 class ConfigError(ValueError):
@@ -55,7 +59,8 @@ class ExperimentConfig:
             if n > LARGE_SIZE_THRESHOLD and not self.allow_large:
                 raise ConfigError(
                     f"size {n} exceeds {LARGE_SIZE_THRESHOLD}; pass allow_large "
-                    "to run it anyway (about 125 MB peak RSS at 1,000,000 keys)"
+                    "to run it anyway (peak RSS about 80 MB at 1,000,000 keys and "
+                    "475 MB at 10,000,000)"
                 )
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")

@@ -46,7 +46,7 @@ def _f2(x: float) -> str:
 # -- model query ----------------------------------------------------------
 
 # No commas: the note is also a CSV value.
-SMALL_N_NOTE = (
+PUBLISHED_FORMULA_NOTE = (
     "note: the model is the published formula; the exact per-leaf law is "
     "P(D <= k) = (1 - 16^-k)^(n-1) and the formula differs from it by the "
     "factor 15/16 and the exponent n"
@@ -60,7 +60,6 @@ def model_query(n: int, fmt: str = "markdown") -> str:
     expected = model.expected_path_length(n)
     ratio = model.asymptotic_ratio(n) if n >= 2 else None
     collision = collision_probability(n)
-    note = SMALL_N_NOTE if n < 100 else None
 
     if fmt == "json":
         payload = {
@@ -71,9 +70,8 @@ def model_query(n: int, fmt: str = "markdown") -> str:
             "mode": dist.mode,
             "asymptotic_ratio": ratio,
             "collision_probability": collision,
+            "note": PUBLISHED_FORMULA_NOTE,
         }
-        if note:
-            payload["note"] = note
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     visible = [
@@ -91,8 +89,7 @@ def model_query(n: int, fmt: str = "markdown") -> str:
         if ratio is not None:
             lines.append(f"asymptotic_ratio,{_f6(ratio)}")
         lines.append(f"collision_probability,{collision:.6e}")
-        if note:
-            lines.append(f"note,{note}")
+        lines.append(f"note,{PUBLISHED_FORMULA_NOTE}")
         return "\n".join(lines) + "\n"
 
     lines = [f"# Path-length model for n = {n}", ""]
@@ -105,8 +102,7 @@ def model_query(n: int, fmt: str = "markdown") -> str:
     if ratio is not None:
         lines.append(f"- Ratio to log16(n): {_f6(ratio)}")
     lines.append(f"- Collision probability: {collision:.6e}")
-    if note:
-        lines.append(f"- {note}")
+    lines.append(f"- {PUBLISHED_FORMULA_NOTE}")
     return "\n".join(lines) + "\n"
 
 

@@ -11,7 +11,10 @@ value slots stay empty; the slot exists only for structural fidelity.
 
 :func:`sorted_shape` measures the same depths, node counts and census
 for a whole key set without building the trie; :class:`Trie` is the
-paper's instrument and the oracle the kernel is tested against.
+paper's instrument and the oracle the kernel is tested against. The
+kernel sorts each key's first 8 bytes as an unsigned 64-bit integer and
+turns to the full 20-byte keys only for the rare groups whose prefixes
+tie, so its temporaries stay near the size of the keys themselves.
 """
 
 from __future__ import annotations
@@ -341,6 +344,12 @@ def sorted_shape(keys: np.ndarray) -> TrieShape:
     """Measure the trie of ``keys``, an ``(n, 20)`` uint8 array, from the
     longest common prefixes (LCPs) of lexicographically adjacent keys.
 
+    Keys are put in order by their first 8 bytes as unsigned 64-bit
+    integers; the nibble LCP of two adjacent prefixes is the count of
+    leading zero nibbles of their xor. Adjacent prefixes that tie (an LCP
+    of 16 nibbles or more, about n**2 / 2 * 16**-16 pairs for random keys)
+    are resolved on the full keys of the tied groups alone.
+
     In sorted order a key's leaf hangs one nibble below its deepest
     divergence from either neighbour, so its divergence depth is
     ``1 + max(left LCP, right LCP)`` (Kasai et al., CPM 2001). The nodes
@@ -359,16 +368,76 @@ def sorted_shape(keys: np.ndarray) -> TrieShape:
         raise ValueError(f"keys must be an (n, {ADDRESS_BYTES}) array, got {keys.shape}")
     if not len(keys):
         return TrieShape({}, {}, {})
-    # Fixed-width byte strings sort by unsigned byte order, as the keys do.
-    ordered = np.sort(keys.view(f"S{ADDRESS_BYTES}").ravel())
-    ordered = ordered.view(np.uint8).reshape(-1, ADDRESS_BYTES)
-    diff = ordered[1:] ^ ordered[:-1]
+    return _shape_from_lcps(_adjacent_lcps(keys, _sorted_prefixes(keys)))
+
+
+PREFIX_BYTES = 8
+PREFIX_NIBBLES = 2 * PREFIX_BYTES
+# 16**0 .. 16**15: an integer is at least as many of these as it has hex
+# digits (none for zero).
+_NIBBLE_POWERS = np.array([16**k for k in range(PREFIX_NIBBLES)], np.uint64)
+
+
+def leading_zero_nibbles(x: np.ndarray) -> np.ndarray:
+    """Exact count of leading zero nibbles of each uint64 in ``x`` (16 for
+    zero), from integer comparisons only."""
+    digits = np.searchsorted(_NIBBLE_POWERS, x.astype(np.uint64, copy=False), "right")
+    return PREFIX_NIBBLES - digits.astype(np.int8)
+
+
+def _prefixes(keys: np.ndarray) -> np.ndarray:
+    """Each key's first 8 bytes as an unsigned integer, read big-endian so
+    that integer order is the keys' byte order."""
+    return keys[:, :PREFIX_BYTES].view(">u8")[:, 0].astype(np.uint64)
+
+
+def _sorted_prefixes(keys: np.ndarray) -> np.ndarray:
+    prefixes = _prefixes(keys)
+    prefixes.sort()
+    return prefixes
+
+
+def _full_key_lcps(rows: np.ndarray) -> np.ndarray:
+    """Nibble LCPs of adjacent rows of a sorted ``(m, 20)`` uint8 array;
+    equal rows have an LCP of 40."""
+    diff = rows[1:] ^ rows[:-1]
     first = (diff != 0).argmax(axis=1)
     byte = diff[np.arange(len(diff)), first]
     lcp = (2 * first + (byte < 16)).astype(np.int8)
-    lcp = lcp[byte != 0]  # an all-zero xor is a duplicate key
-    n = len(lcp) + 1
+    lcp[byte == 0] = ADDRESS_NIBBLES
+    return lcp
 
+
+def _adjacent_lcps(keys: np.ndarray, ordered: np.ndarray) -> np.ndarray:
+    """Nibble LCPs of the adjacent distinct keys in sorted order, given
+    ``ordered``, the keys' sorted prefixes.
+
+    Adjacent prefixes that differ give the LCP by themselves. Prefixes
+    that tie mean an LCP of at least 16 nibbles; only the keys of tied
+    prefix groups are sorted on all 20 bytes to measure it. Equal keys
+    give no LCP, so each counts once.
+    """
+    xor = ordered[1:] ^ ordered[:-1]
+    tie = np.flatnonzero(xor == 0)
+    lcp = leading_zero_nibbles(xor)
+    if not len(tie):
+        return lcp
+    # Rows whose prefix is one of the tied ones, in full-key order: each
+    # tied group is a run there, and its adjacent pairs are the ties in
+    # order, the only adjacent rows sharing 16 nibbles or more.
+    values = ordered[tie]
+    prefixes = _prefixes(keys)
+    at = np.searchsorted(values, prefixes).clip(max=len(values) - 1)
+    rows = np.sort(keys[values[at] == prefixes].view(f"S{ADDRESS_BYTES}").ravel())
+    full = _full_key_lcps(rows.view(np.uint8).reshape(-1, ADDRESS_BYTES))
+    lcp[tie] = full[full >= PREFIX_NIBBLES]
+    return lcp[lcp != ADDRESS_NIBBLES]
+
+
+def _shape_from_lcps(lcp: np.ndarray) -> TrieShape:
+    """The lcp-interval sweep: read the trie off adjacent distinct keys'
+    LCPs (see :func:`sorted_shape`)."""
+    n = len(lcp) + 1
     padded = np.full(n + 1, -1, np.int8)
     padded[1:-1] = lcp
     depth = np.maximum(padded[:-1], padded[1:]) + 1

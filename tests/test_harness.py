@@ -59,8 +59,9 @@ def test_config_large_sizes_need_opt_in():
     with pytest.raises(ConfigError, match="allow_large"):
         ExperimentConfig(sizes=(500_000,))
     ExperimentConfig(sizes=(500_000,), allow_large=True)
+    ExperimentConfig(sizes=(10_000_000,), allow_large=True)
     with pytest.raises(ConfigError, match="maximum"):
-        ExperimentConfig(sizes=(2_000_000,), allow_large=True)
+        ExperimentConfig(sizes=(10_000_001,), allow_large=True)
 
 
 def test_trial_seed_is_stable_and_spread():

@@ -7,6 +7,7 @@ from pathlab.cli import cli, main
 from pathlab.harness import ExperimentConfig, report_to_json, run_experiment
 from pathlab.report import (
     DISTRIBUTION_CSV_HEADER,
+    PUBLISHED_FORMULA_NOTE,
     FormatError,
     model_query,
     render_report,
@@ -90,6 +91,17 @@ def test_cli_model_json():
     result = CliRunner().invoke(cli, ["model", "--n", "100", "--format", "json"])
     payload = json.loads(result.output)
     assert payload["mode"] == 2
+
+
+def test_cli_model_notes_the_published_formula_at_every_n():
+    """The published formula is no closer to the exact per-leaf law at large
+    n (per-bin gap 0.024 at 10**6), so the note is not for small n alone."""
+    runs = {fmt: CliRunner().invoke(cli, ["model", "--n", "1000000", "--format", fmt])
+            for fmt in ("md", "csv", "json")}
+    assert all(r.exit_code == 0 for r in runs.values())
+    assert f"- {PUBLISHED_FORMULA_NOTE}\n" in runs["md"].output
+    assert f"\nnote,{PUBLISHED_FORMULA_NOTE}\n" in runs["csv"].output
+    assert json.loads(runs["json"].output)["note"] == PUBLISHED_FORMULA_NOTE
 
 
 def test_cli_usage_error_exit_code():

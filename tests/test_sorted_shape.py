@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import pathlab
 from pathlab.keyspace import from_nibbles, to_nibbles
-from pathlab.trie import Trie, TrieShape, sorted_shape
+from pathlab.trie import Trie, TrieShape, leading_zero_nibbles, sorted_shape
 from test_acceptance import _random_key_batch
 
 
@@ -156,3 +157,108 @@ print(" ".join(sorted(set(sys.modules) - before)))
         timeout=120, check=True,
     )
     assert out.stdout.split() == []
+
+
+# -- the 8-byte prefix front end: ties, the 16-nibble boundary, byte order --
+
+
+def diverging_at(key: bytes, lcp: int, tail: bytes) -> bytes:
+    """A key sharing exactly ``lcp`` leading nibbles with ``key``; its
+    nibbles past the divergence come from ``tail``."""
+    path = to_nibbles(key)
+    return from_nibbles(path[:lcp] + bytes([path[lcp] ^ 1]) + to_nibbles(tail)[lcp + 1:])
+
+
+@pytest.mark.parametrize("lcp", [15, 16, 17])
+def test_adjacent_lcp_at_the_prefix_boundary(lcp):
+    rng = np.random.default_rng(lcp)
+    base, tail = (rng.bytes(20) for _ in range(2))
+    pair = [base, diverging_at(base, lcp, tail)]
+    assert kernel_shape(pair).depths == {lcp + 1: 2}
+    assert_same_shape(pair + _random_key_batch(rng, 40))
+
+
+def test_every_key_shares_the_first_16_nibbles():
+    rng = np.random.default_rng(16)
+    prefix = rng.bytes(8)
+    keys = [prefix + rng.bytes(12) for _ in range(300)]
+    keys += [diverging_at(keys[0], lcp, rng.bytes(20)) for lcp in range(16, 40)]
+    assert_same_shape(keys)
+
+
+def test_two_tied_groups_among_untied_keys():
+    rng = np.random.default_rng(2)
+    groups = [rng.bytes(8) for _ in range(2)]
+    keys = [g + rng.bytes(12) for g in groups for _ in range(5)]
+    keys += [diverging_at(keys[0], 17, rng.bytes(20)), diverging_at(keys[5], 30, rng.bytes(20))]
+    keys += _random_key_batch(rng, 50)
+    assert_same_shape(keys)
+
+
+def test_duplicates_inside_a_tied_group_count_once():
+    rng = np.random.default_rng(3)
+    prefix = rng.bytes(8)
+    group = [prefix + rng.bytes(12) for _ in range(4)]
+    others = _random_key_batch(rng, 20)
+    keys = others + group + [group[1]] * 3 + [group[0], group[3]]
+    assert sum(kernel_shape(keys).depths.values()) == 24
+    assert kernel_shape(keys) == kernel_shape(others + group)
+    assert_same_shape(keys)
+
+
+def test_prefixes_order_unsigned_across_the_top_bit():
+    """Tied groups of different sizes and LCPs under the prefixes 0x7fff..,
+    0x8000.. and 0xffff..: a signed view would put the last two first, out
+    of step with the full keys' byte order that resolves the ties."""
+    rng = np.random.default_rng(4)
+    groups = {b"\x7f" + b"\xff" * 7: [30], b"\x80" + bytes(7): [17, 20],
+              b"\xff" * 8: [16, 25, 39], bytes(8): []}
+    keys = []
+    for head, lcps in groups.items():
+        base = head + rng.bytes(12)
+        keys += [base] + [diverging_at(base, lcp, rng.bytes(20)) for lcp in lcps]
+    assert_same_shape(keys)
+
+
+def tied_key(prefix: bytes, base_tail: bytes, shared: int, tail: bytes) -> bytes:
+    """``prefix`` and a 12-byte tail whose first ``shared`` nibbles are
+    ``base_tail``'s and the rest ``tail``'s."""
+    base, own = to_nibbles(prefix + base_tail), to_nibbles(prefix + tail)
+    return from_nibbles(base[:16 + shared] + own[16 + shared:])
+
+
+# Keys over one to three 8-byte prefixes, so every batch has tied prefixes,
+# with tails sharing 0-24 nibbles (24: a duplicate key).
+tied_prefix_batches = st.tuples(
+    st.lists(st.binary(min_size=8, max_size=8), min_size=1, max_size=3),
+    st.binary(min_size=12, max_size=12),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 24),
+                       st.binary(min_size=12, max_size=12)), min_size=1, max_size=40),
+).map(
+    lambda t: [tied_key(t[0][g % len(t[0])], t[1], shared, tail) for g, shared, tail in t[2]]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_prefix_batches)
+def test_kernel_matches_trie_on_tied_prefix_groups(keys):
+    assert_same_shape(keys)
+
+
+def test_leading_zero_nibbles_at_powers_of_16():
+    values = [x for k in range(16) for x in (16**k, 16**k - 1)] + [2**64 - 1]
+    want = [16 - len(f"{x:x}") if x else 16 for x in values]
+    got = leading_zero_nibbles(np.array(values, np.uint64))
+    assert got.tolist() == want
+    assert [15 - k for k in range(16)] == want[0:32:2]
+
+
+def test_kernel_memory_stays_within_a_small_multiple_of_the_keys():
+    keys = np.random.default_rng(5).integers(0, 256, (200_000, 20), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        sorted_shape(keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * keys.nbytes, peak / keys.nbytes
