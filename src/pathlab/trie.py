@@ -368,7 +368,11 @@ def sorted_shape(keys: np.ndarray) -> TrieShape:
         raise ValueError(f"keys must be an (n, {ADDRESS_BYTES}) array, got {keys.shape}")
     if not len(keys):
         return TrieShape({}, {}, {})
-    return _shape_from_lcps(_adjacent_lcps(keys, _sorted_prefixes(keys)))
+    ordered = _prefixes(keys)
+    ordered.sort()
+    lcp = _adjacent_lcps(keys, ordered)
+    del ordered  # not needed by the sweep, which peaks the kernel's memory
+    return _shape_from_lcps(lcp)
 
 
 PREFIX_BYTES = 8
@@ -381,7 +385,7 @@ _NIBBLE_POWERS = np.array([16**k for k in range(PREFIX_NIBBLES)], np.uint64)
 def leading_zero_nibbles(x: np.ndarray) -> np.ndarray:
     """Exact count of leading zero nibbles of each uint64 in ``x`` (16 for
     zero), from integer comparisons only."""
-    digits = np.searchsorted(_NIBBLE_POWERS, x.astype(np.uint64, copy=False), "right")
+    digits = np.searchsorted(_NIBBLE_POWERS, x, "right")
     return PREFIX_NIBBLES - digits.astype(np.int8)
 
 
@@ -389,12 +393,6 @@ def _prefixes(keys: np.ndarray) -> np.ndarray:
     """Each key's first 8 bytes as an unsigned integer, read big-endian so
     that integer order is the keys' byte order."""
     return keys[:, :PREFIX_BYTES].view(">u8")[:, 0].astype(np.uint64)
-
-
-def _sorted_prefixes(keys: np.ndarray) -> np.ndarray:
-    prefixes = _prefixes(keys)
-    prefixes.sort()
-    return prefixes
 
 
 def _full_key_lcps(rows: np.ndarray) -> np.ndarray:
