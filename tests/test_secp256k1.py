@@ -7,15 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathlab.secp256k1 import (
-    INFINITY,
-    ORDER,
-    P,
-    _add_mixed,
-    _to_affine,
-    public_keys,
-    window_table,
-)
+from pathlab.secp256k1 import ORDER, P, _add_into, _inverses, public_keys, window_table
 
 ec = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.ec")
 
@@ -77,34 +69,48 @@ def test_window_table_entries(i, d):
     assert window_table()[i][d - 1] == oracle_point(d * 256**i)
 
 
-def _jacobian(point, z):
-    """The affine ``point`` written with a Z other than 1."""
-    x, y = point
-    return x * z * z % P, y * z * z * z % P, z
+@pytest.mark.parametrize("size", [0, 1, 2, 1_000])
+def test_inverses_match_pow(size):
+    rng = random.Random(size)
+    values = [rng.randrange(1, P) for _ in range(size)]
+    assert _inverses(values) == [pow(v, -1, P) for v in values]
 
 
-def test_mixed_addition_from_infinity():
-    q = oracle_point(5)
-    assert _add_mixed(INFINITY, q) == (*q, 1)
+def test_inverses_refuse_zero():
+    for position in (0, 3, 6):  # first, middle, last
+        values = [2, 3, 5, 7, 11, 13, 17]
+        values[position] = 0
+        with pytest.raises(ValueError):
+            _inverses(values)
 
 
-def test_mixed_addition_doubles_an_equal_point():
-    q = oracle_point(3)
-    total = _add_mixed(_jacobian(q, 0x1234567890ABCDEF), q)
-    assert _to_affine([total]) == [oracle_point(6)]
+def test_add_of_distinct_points():
+    points = [oracle_point(11), oracle_point(1), oracle_point(8)]
+    _add_into(points, [0, 2], [oracle_point(4), oracle_point(2)])
+    assert points == [oracle_point(15), oracle_point(1), oracle_point(10)]
 
 
-def test_mixed_addition_of_a_negation_is_infinity():
-    x, y = oracle_point(7)
-    total = _add_mixed(_jacobian((x, y), 987654321), (x, P - y))
-    assert total[2] == 0
-
-
-def test_mixed_addition_of_distinct_points():
-    total = _add_mixed(_jacobian(oracle_point(11), 31337), oracle_point(4))
-    assert _to_affine([total]) == [oracle_point(15)]
-
-
-def test_to_affine_refuses_infinity():
+@pytest.mark.parametrize("scalar, other", [(3, 3), (7, ORDER - 7)], ids=["equal-point", "negation"])
+def test_add_refuses_equal_x(scalar, other):
+    """An equal point (a doubling) or a negation (the point at infinity)
+    has no chord: the batch raises, leaving every point as it was, rather
+    than store a wrong sum."""
+    points = [oracle_point(1), oracle_point(scalar)]
     with pytest.raises(ValueError):
-        _to_affine([_jacobian(oracle_point(2), 5), INFINITY])
+        _add_into(points, [0, 1], [oracle_point(5), oracle_point(other)])
+    assert points == [oracle_point(1), oracle_point(scalar)]
+
+
+def test_group_order_is_refused():
+    """k = ORDER meets its own negation in the last window: the batch
+    raises instead of returning a key for an invalid scalar."""
+    with pytest.raises(ValueError):
+        public_keys([1, ORDER, 2])
+
+
+@pytest.mark.parametrize("d", [1, 2, 255])
+def test_window_table_digit_in_every_window(d):
+    """d = 2 is the affine doubling of each window's base, d = 255 the last
+    of its chord steps."""
+    table = window_table()
+    assert [window[d - 1] for window in table] == [oracle_point(d * 256**i) for i in range(32)]
