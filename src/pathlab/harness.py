@@ -7,7 +7,7 @@ building it; the ``Trie`` stays as the paper's instrument and the
 oracle the kernel is tested against. The kernel sorts 8-byte key
 prefixes as integers, so a trial's memory is a small multiple of its
 keys' 20 bytes each: sizes above ``LARGE_SIZE_THRESHOLD`` need
-``allow_large``, and ``MAX_SIZE`` (10,000,000 keys, about 475 MB peak
+``allow_large``, and ``MAX_SIZE`` (10,000,000 keys, about 395 MB peak
 RSS) is the most one trial may hold.
 
 Reports are a pure function of the configuration. Each (size, trial)
@@ -59,8 +59,8 @@ class ExperimentConfig:
             if n > LARGE_SIZE_THRESHOLD and not self.allow_large:
                 raise ConfigError(
                     f"size {n} exceeds {LARGE_SIZE_THRESHOLD}; pass allow_large "
-                    "to run it anyway (peak RSS about 80 MB at 1,000,000 keys and "
-                    "475 MB at 10,000,000)"
+                    "to run it anyway (peak RSS about 75 MB at 1,000,000 keys and "
+                    "395 MB at 10,000,000)"
                 )
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")

@@ -262,3 +262,60 @@ def test_kernel_memory_stays_within_a_small_multiple_of_the_keys():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * keys.nbytes, peak / keys.nbytes
+
+
+def test_kernel_peak_memory_stays_within_1_1_times_the_keys():
+    """The sweep keeps no per-key array wider than a byte, and the LCP step
+    no index beside the sorted prefixes and their xor."""
+    keys = np.random.default_rng(5).integers(0, 256, (200_000, 20), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        sorted_shape(keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * keys.nbytes, peak / keys.nbytes
+
+
+# -- LCP sequences that random keys never reach --
+
+
+def keys_with_lcps(lcps) -> list[bytes]:
+    """Sorted distinct keys, each the previous one with nibble ``l``
+    incremented and the nibbles after it zeroed, so that adjacent keys
+    share exactly ``l`` nibbles. An ``l`` whose nibble is already 15 is
+    skipped."""
+    path = bytearray(40)
+    keys = [from_nibbles(bytes(path))]
+    for lcp in lcps:
+        if path[lcp] < 15:
+            path[lcp] += 1
+            path[lcp + 1:] = bytes(39 - lcp)
+            keys.append(from_nibbles(bytes(path)))
+    return keys
+
+
+lcp_segments = st.one_of(
+    st.lists(st.integers(0, 39), max_size=20),
+    # ramps up or down, up to 39 levels deep
+    st.tuples(st.integers(0, 39), st.integers(0, 39)).map(
+        lambda t: list(range(t[0], t[1] + 1)) or list(range(t[0], t[1] - 1, -1))
+    ),
+    st.integers(1, 20).map(lambda k: [39] * k),
+)
+lcp_sequences = st.lists(lcp_segments, max_size=8).map(lambda s: [lcp for seg in s for lcp in seg])
+
+
+@settings(max_examples=300, deadline=None)
+@given(lcp_sequences)
+def test_kernel_matches_trie_on_constructed_lcp_sequences(lcps):
+    assert_same_shape(keys_with_lcps(lcps))
+
+
+def test_kernel_matches_trie_on_a_nest_39_levels_deep():
+    ramp = list(range(40))
+    lcps = ramp + ramp[::-1] + [39] * 15 + ramp[::2]
+    keys = keys_with_lcps(lcps)
+    paths = [to_nibbles(k) for k in keys]
+    assert [next(i for i in range(40) if a[i] != b[i]) for a, b in zip(paths, paths[1:])] == lcps
+    assert_same_shape(keys)
