@@ -77,9 +77,15 @@ def crypto_derive(private_key: bytes | int) -> bytes:
 def generate(cfg: GeneratorConfig) -> np.ndarray:
     """Produce ``cfg.count`` addresses as a ``(count, 20)`` uint8 array, one
     address per row; bit-exact for identical configs."""
-    rng = np.random.default_rng(np.random.PCG64(cfg.seed))
     if cfg.mode == "uniform":
-        return rng.integers(0, 256, size=(cfg.count, 20), dtype=np.uint8)
+        # The bytes ``integers(0, 256, (count, 20), uint8)`` gives on this
+        # stream: numpy fills full-range uint8 from 32-bit draws, low byte
+        # first, and PCG64 yields each 64-bit word's low half first.
+        nbytes = cfg.count * 20
+        words = np.random.PCG64(cfg.seed).random_raw(-(-nbytes // 8))
+        octets = words.astype("<u8", copy=False).view(np.uint8)
+        return octets[:nbytes].reshape(cfg.count, 20)
+    rng = np.random.default_rng(np.random.PCG64(cfg.seed))
     addresses = np.empty((cfg.count, 20), dtype=np.uint8)
     for start in range(0, cfg.count, CRYPTO_BATCH):
         rows = addresses[start : start + CRYPTO_BATCH]

@@ -3,9 +3,11 @@
 Subcommands: ``model`` (analytic queries), ``simulate`` and ``validate``
 (one seeded Monte-Carlo experiment with model comparison and chi-square
 tests; ``simulate`` defaults to the JSON report, ``validate`` to
-markdown), ``tables`` (reference-table reproduction). Trials run
-serially; ``simulate`` and ``validate`` still accept a hidden ``--jobs N``
-and ignore it, so existing command lines keep working.
+markdown), ``tables`` (reference-table reproduction). ``crypto`` trials
+run on a pool of forked processes, one per available CPU, and ``uniform``
+trials serially (``pathlab.harness``); no option chooses this.
+``simulate`` and ``validate`` still accept a hidden ``--jobs N`` and
+ignore it, so existing command lines keep working.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime error.
 ``PATHLAB_SEED`` supplies the default master seed when ``--seed`` is

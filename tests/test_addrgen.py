@@ -62,6 +62,20 @@ def test_pinned_first_keys(mode, first, second):
     assert [bytes(row).hex() for row in batch] == [first, second]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 5])
+def test_uniform_keys_match_pcg64_uint8_stream(seed):
+    """``uniform`` keys are read from PCG64's raw 64-bit words; they must be
+    the bytes numpy's full-range ``uint8`` draw gives on the same stream,
+    including counts whose bytes end inside a word."""
+    for count in (0, 1, 2, 3, 7, 1_000, 1_000_000):
+        reference = np.random.default_rng(np.random.PCG64(seed)).integers(
+            0, 256, (count, 20), np.uint8
+        )
+        keys = generate(GeneratorConfig(seed=seed, count=count))
+        assert keys.dtype == np.uint8 and keys.shape == (count, 20)
+        assert np.array_equal(keys, reference), count
+
+
 def test_nibble_position_frequencies_within_4_sigma():
     addresses = generate(GeneratorConfig(seed=11, count=10_000))
     n = len(addresses)

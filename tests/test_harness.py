@@ -164,3 +164,58 @@ def test_crypto_mode_runs():
     # size 50 keeps the slow pipeline affordable in the suite
     report = run_experiment(cfg)
     assert report.results[0].histogram.total == 50
+
+
+def crypto_pool_config():
+    # two sizes and three trials: six pairs, more than one per CPU
+    return ExperimentConfig(sizes=(30, 40), trials=3, master_seed=11, mode="crypto")
+
+
+def test_crypto_pool_report_matches_serial_run(monkeypatch):
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+    pooled = report_to_json(run_experiment(crypto_pool_config()))
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
+    assert report_to_json(run_experiment(crypto_pool_config())) == pooled
+
+
+def test_crypto_pool_uses_one_worker_per_cpu(monkeypatch):
+    """The pool is sized by the CPUs and capped at the number of pairs;
+    uniform trials, a single pair and a caller with other threads never
+    start it."""
+    import concurrent.futures
+    import threading
+
+    started = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, workers, **kwargs):
+            started.append(workers)
+            super().__init__(workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 4)
+    run_experiment(crypto_pool_config())
+    run_experiment(ExperimentConfig(sizes=(30,), trials=3, mode="crypto"))
+    run_experiment(ExperimentConfig(sizes=(50,), trials=1, mode="crypto"))
+    run_experiment(ExperimentConfig(sizes=(30, 40), trials=3))
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        run_experiment(crypto_pool_config())
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    assert started == [4, 3]
+
+
+def test_crypto_pool_worker_error_reaches_caller(monkeypatch):
+    def broken(_scalars):
+        raise ValueError("no point for this scalar")
+
+    # forked workers inherit the patched module
+    monkeypatch.setattr(harness.addrgen, "public_keys", broken)
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+    with pytest.raises(ValueError, match="no point for this scalar"):
+        run_experiment(crypto_pool_config())

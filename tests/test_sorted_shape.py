@@ -135,10 +135,13 @@ def test_kernel_rejects_wrong_key_width():
 def test_run_trial_imports_nothing_beyond_key_generation():
     """Measuring a trial loads no module that ``pathlab.cli`` and the key
     generator have not: a lazily imported numpy submodule would cost every
-    run set-up time and resident memory."""
+    run set-up time and resident memory. ``pathlab.cli`` itself loads no
+    process-pool module; only a run that starts the pool pays for them."""
     script = """
 import sys
 import pathlab.cli
+print(" ".join(m for m in sys.modules
+               if m.split(".")[0] in ("multiprocessing", "concurrent")) or "-")
 from pathlab import addrgen
 from pathlab.harness import ExperimentConfig, run_trial
 for mode in ("uniform", "crypto"):
@@ -156,7 +159,9 @@ print(" ".join(sorted(set(sys.modules) - before)))
         [sys.executable, "-c", script], env=env, capture_output=True, text=True,
         timeout=120, check=True,
     )
-    assert out.stdout.split() == []
+    pool_modules, trial_modules = out.stdout.split("\n")[:2]
+    assert pool_modules == "-"
+    assert trial_modules.split() == []
 
 
 # -- the 8-byte prefix front end: ties, the 16-nibble boundary, byte order --

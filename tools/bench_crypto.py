@@ -14,7 +14,17 @@ times, as the median of ``REPEATS`` calls each:
 - ``generate_s``: the whole ``addrgen.generate`` call, table already built
 
 It also records ``ru_maxrss_mb``, the process's peak RSS after all of the
-above. The results go into ``BENCH_crypto.json`` under ``runs[NAME]``, with
+above.
+
+Then it times one ``harness.run_experiment`` call on the ``crypto-jobs2``
+benchmark config (``EXPERIMENT``: 4 trials of 1,000 ``crypto`` keys), each
+in a fresh process, ``REPEATS`` times each way, alternating: ``serial``
+with the harness's CPU count forced to 1, and ``pooled`` as the program
+runs it. Each way gives the median ``run_s`` and the largest
+``parent_maxrss_mb`` (``RUSAGE_SELF``) and ``children_maxrss_mb``
+(``RUSAGE_CHILDREN``: the largest pool worker, 0 when serial).
+
+The results go into ``BENCH_crypto.json`` under ``runs[NAME]``, with
 the machine that measured them; other labels already in the file are kept,
 so a parent and a change can share one file.
 """
@@ -35,6 +45,7 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_crypto.json"
 SIZES = (1_000, 4_096)
 REPEATS = 5
+EXPERIMENT = {"sizes": (1_000,), "trials": 4, "master_seed": 1, "mode": "crypto"}
 
 
 def _median_time(fn):
@@ -81,28 +92,68 @@ def measure(size: int) -> dict:
     return {k: round(v, 4) if isinstance(v, float) else v for k, v in row.items()}
 
 
+def measure_experiment(way: str) -> dict:
+    """One ``run_experiment`` call in this process, ``serial`` or ``pooled``."""
+    import resource
+
+    from pathlab import harness
+
+    if way == "serial":
+        harness._cpu_count = lambda: 1
+    cfg = harness.ExperimentConfig(**EXPERIMENT)
+    start = time.perf_counter()
+    harness.run_experiment(cfg)
+    run_s = time.perf_counter() - start
+    # ru_maxrss is in KiB on Linux
+    return {"run_s": run_s,
+            "parent_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "children_maxrss_mb":
+                resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024}
+
+
+def _fresh(args, *extra) -> dict:
+    out = subprocess.run(
+        [sys.executable, __file__, "--src", args.src, "--label", args.label, *extra],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(ROOT / "src"),
                     help="src directory to import pathlab from")
     ap.add_argument("--label", required=True, help="name of this run in the output")
     ap.add_argument("--one", type=int, help=argparse.SUPPRESS)
+    ap.add_argument("--experiment", choices=("serial", "pooled"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
-    if args.one is not None:
+    if args.one is not None or args.experiment is not None:
         sys.path.insert(0, args.src)
-        print(json.dumps(measure(args.one)))
+        if args.one is not None:
+            print(json.dumps(measure(args.one)))
+        else:
+            print(json.dumps(measure_experiment(args.experiment)))
         return 0
 
     rows = {}
     for size in SIZES:
-        out = subprocess.run(
-            [sys.executable, __file__, "--src", args.src, "--label", args.label,
-             "--one", str(size)],
-            capture_output=True, text=True, check=True,
-        )
-        rows[str(size)] = json.loads(out.stdout.splitlines()[-1])
+        rows[str(size)] = _fresh(args, "--one", str(size))
         print(args.label, size, rows[str(size)], file=sys.stderr)
+
+    calls = {"serial": [], "pooled": []}
+    for _ in range(REPEATS):
+        for way, runs in calls.items():
+            runs.append(_fresh(args, "--experiment", way))
+            print(args.label, way, runs[-1], file=sys.stderr)
+    experiment = {"config": EXPERIMENT}
+    for way, runs in calls.items():
+        experiment[way] = {
+            "run_s": round(statistics.median(r["run_s"] for r in runs), 4),
+            "run_s_each": [round(r["run_s"], 4) for r in runs],
+            **{key: round(max(r[key] for r in runs), 1)
+               for key in ("parent_maxrss_mb", "children_maxrss_mb")},
+        }
 
     import numpy as np
 
@@ -111,11 +162,15 @@ def main(argv=None) -> int:
         "tools/bench_crypto.py: per batch size, a fresh process times the cold "
         "secp256k1 window table, the crypto scalar draw, secp256k1.public_keys, "
         "keccak.keccak256_rows and the whole addrgen.generate (medians of "
-        "`repeats` calls), and ru_maxrss"
+        "`repeats` calls), and ru_maxrss; `experiment`: one run_experiment call "
+        "on the crypto-jobs2 config per fresh process, `repeats` times serial "
+        "(CPU count forced to 1) and pooled, median run_s and the largest parent "
+        "and children ru_maxrss"
     )
     machine = {"cpus": os.cpu_count(), "python": platform.python_version(),
                "numpy": np.__version__, "platform": platform.platform()}
-    bench["runs"][args.label] = {"machine": machine, "repeats": REPEATS, "sizes": rows}
+    bench["runs"][args.label] = {"machine": machine, "repeats": REPEATS, "sizes": rows,
+                                 "experiment": experiment}
     OUT.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
     return 0
 
