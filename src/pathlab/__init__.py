@@ -2,81 +2,4 @@
 distribution model for random 20-byte keys, and a seeded Monte-Carlo
 validation harness."""
 
-from .addrgen import (
-    GeneratorConfig,
-    InvalidPrivateKeyError,
-    collision_probability,
-    crypto_derive,
-    generate,
-)
-from .harness import ExperimentConfig, ExperimentReport, run_experiment, trial_seed
-from .keyspace import (
-    AddressError,
-    format_address,
-    from_nibbles,
-    longest_common_prefix,
-    parse_address,
-    to_nibbles,
-)
-from .model import (
-    ModelDistribution,
-    ModelParams,
-    asymptotic_ratio,
-    cdf,
-    cdf_paper_literal,
-    distribution,
-    expected_path_length,
-    pmf,
-    prefix_share_probability,
-)
-from .stats import (
-    ChiSquareResult,
-    ComparisonRow,
-    PathLengthHistogram,
-    chi_square_counts,
-    chi_square_paper,
-    compare,
-    merge,
-    p_value,
-)
-from .trie import LeafMetrics, Trie, check_invariants
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AddressError",
-    "ChiSquareResult",
-    "ComparisonRow",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "GeneratorConfig",
-    "InvalidPrivateKeyError",
-    "LeafMetrics",
-    "ModelDistribution",
-    "ModelParams",
-    "PathLengthHistogram",
-    "Trie",
-    "asymptotic_ratio",
-    "cdf",
-    "cdf_paper_literal",
-    "check_invariants",
-    "chi_square_counts",
-    "chi_square_paper",
-    "collision_probability",
-    "compare",
-    "crypto_derive",
-    "distribution",
-    "expected_path_length",
-    "format_address",
-    "from_nibbles",
-    "generate",
-    "longest_common_prefix",
-    "merge",
-    "p_value",
-    "parse_address",
-    "pmf",
-    "prefix_share_probability",
-    "run_experiment",
-    "to_nibbles",
-    "trial_seed",
-]

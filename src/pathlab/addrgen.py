@@ -15,7 +15,7 @@ Two modes:
   up to 4,096: fixed-base windowed scalar multiplication in affine
   coordinates, one shared inversion per window (``pathlab.secp256k1``),
   then Keccak-256 over numpy lanes (``pathlab.keccak``). About 0.11 ms
-  per key (``tools/bench_crypto.py``), against microseconds for
+  per key (``tools/bench_layers.py crypto``), against microseconds for
   ``uniform``, and statistically indistinguishable from it.
 """
 
@@ -28,10 +28,10 @@ from typing import Literal
 import numpy as np
 
 from .keccak import keccak256, keccak256_rows
+from .keyspace import ADDRESS_BYTES
 from .secp256k1 import ORDER as SECP256K1_ORDER
 from .secp256k1 import public_keys
 
-ADDRESS_SPACE_BITS = 160
 # Keys derived per batch in crypto mode: large enough to amortise the one
 # modular inversion (``pow``) per window that a batch's point additions
 # share, small enough that the batch's Keccak lanes (25 x 8 bytes per key)
@@ -71,7 +71,7 @@ def crypto_derive(private_key: bytes | int) -> bytes:
         raise InvalidPrivateKeyError(
             "private key must be in [1, secp256k1 group order - 1]"
         )
-    return keccak256(public_keys([private_key]).tobytes())[-20:]
+    return keccak256(public_keys([private_key]).tobytes())[-ADDRESS_BYTES:]
 
 
 def generate(cfg: GeneratorConfig) -> np.ndarray:
@@ -81,12 +81,12 @@ def generate(cfg: GeneratorConfig) -> np.ndarray:
         # The bytes ``integers(0, 256, (count, 20), uint8)`` gives on this
         # stream: numpy fills full-range uint8 from 32-bit draws, low byte
         # first, and PCG64 yields each 64-bit word's low half first.
-        nbytes = cfg.count * 20
+        nbytes = cfg.count * ADDRESS_BYTES
         words = np.random.PCG64(cfg.seed).random_raw(-(-nbytes // 8))
         octets = words.astype("<u8", copy=False).view(np.uint8)
-        return octets[:nbytes].reshape(cfg.count, 20)
+        return octets[:nbytes].reshape(cfg.count, ADDRESS_BYTES)
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
-    addresses = np.empty((cfg.count, 20), dtype=np.uint8)
+    addresses = np.empty((cfg.count, ADDRESS_BYTES), dtype=np.uint8)
     for start in range(0, cfg.count, CRYPTO_BATCH):
         rows = addresses[start : start + CRYPTO_BATCH]
         scalars = []
@@ -98,7 +98,7 @@ def generate(cfg: GeneratorConfig) -> np.ndarray:
                 scalar = int.from_bytes(draws[i : i + 32], "big")
                 if 1 <= scalar < SECP256K1_ORDER:
                     scalars.append(scalar)
-        rows[:] = keccak256_rows(public_keys(scalars))[:, 12:]
+        rows[:] = keccak256_rows(public_keys(scalars))[:, -ADDRESS_BYTES:]
     return addresses
 
 
@@ -109,5 +109,5 @@ def collision_probability(n: int) -> float:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    exponent = (n * n) / float(2 ** (ADDRESS_SPACE_BITS + 1))
+    exponent = (n * n) / float(2 ** (8 * ADDRESS_BYTES + 1))
     return -math.expm1(-exponent)

@@ -96,12 +96,13 @@ def _experiment_command(name: str, default_fmt: str, help_text: str):
             sizes=sizes, trials=trials, master_seed=seed, mode=mode,
             allow_large=allow_large,
         )
-        text = render_report(run_experiment(cfg), _FORMAT_NAMES[fmt])
         if out:
+            # Opened before the trials run, so a path that cannot be written
+            # fails at once.
             with open(out, "w") as fh:
-                fh.write(text)
+                fh.write(render_report(run_experiment(cfg), _FORMAT_NAMES[fmt]))
         else:
-            click.echo(text, nl=False)
+            click.echo(render_report(run_experiment(cfg), _FORMAT_NAMES[fmt]), nl=False)
 
     return command
 
@@ -137,11 +138,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
-    except OSError as exc:
-        target = getattr(exc, "filename", None)
-        suffix = f" ({target})" if target else ""
-        click.echo(f"runtime error: {exc}{suffix}", err=True)
-        return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         click.echo(f"runtime error: {exc}", err=True)
         return 2

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import addrgen, model, stats
 from .trie import sorted_shape
@@ -96,8 +96,6 @@ def trial_seed(master_seed: int, size: int, trial: int) -> int:
 
 @dataclass(frozen=True)
 class TrialResult:
-    size: int
-    trial: int
     divergence_histogram: stats.PathLengthHistogram
     node_count_histogram: stats.PathLengthHistogram
     level_census: dict[int, dict[str, int]]
@@ -121,8 +119,7 @@ class SizeResult:
 @dataclass
 class ExperimentReport:
     config: ExperimentConfig
-    results: list[SizeResult] = field(default_factory=list)
-    schema_version: int = SCHEMA_VERSION
+    results: list[SizeResult]
 
 
 def run_trial(size: int, trial: int, cfg: ExperimentConfig) -> TrialResult:
@@ -131,8 +128,6 @@ def run_trial(size: int, trial: int, cfg: ExperimentConfig) -> TrialResult:
         addrgen.generate(addrgen.GeneratorConfig(mode=cfg.mode, seed=seed, count=size))
     )
     return TrialResult(
-        size=size,
-        trial=trial,
         divergence_histogram=stats.PathLengthHistogram(shape.depths),
         node_count_histogram=stats.PathLengthHistogram(shape.node_counts),
         level_census=shape.census,
@@ -151,7 +146,7 @@ def table_span(probabilities: dict[int, float], rows: int = 6,
     return [k for k in range(start, start + rows) if k in probabilities]
 
 
-def _aggregate(size: int, trials: list[TrialResult], cfg: ExperimentConfig) -> SizeResult:
+def _aggregate(size: int, trials: list[TrialResult]) -> SizeResult:
     pooled = stats.PathLengthHistogram({})
     pooled_nodes = stats.PathLengthHistogram({})
     census: dict[int, dict[str, int]] = {}
@@ -257,7 +252,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             ) from None
     trials = _run_trials([(size, t) for size in cfg.sizes for t in range(cfg.trials)], cfg)
     return ExperimentReport(config=cfg, results=[
-        _aggregate(size, trials[i * cfg.trials:(i + 1) * cfg.trials], cfg)
+        _aggregate(size, trials[i * cfg.trials:(i + 1) * cfg.trials])
         for i, size in enumerate(cfg.sizes)
     ])
 
@@ -277,7 +272,7 @@ def _chi_dict(result: stats.ChiSquareResult) -> dict:
 def report_to_dict(report: ExperimentReport) -> dict:
     cfg = report.config
     return {
-        "schema_version": report.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "config": {
             "sizes": list(cfg.sizes),
             "trials": cfg.trials,

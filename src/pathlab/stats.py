@@ -134,16 +134,12 @@ class ChiSquareResult:
 MIN_EXPECTED = 5.0
 
 
-def merge_plan(
-    expected: Mapping[int, float], min_expected: float = MIN_EXPECTED
-) -> list[list]:
+def merge_plan(expected: Mapping[int, float]) -> list[list]:
     """Merge the bins of ``expected`` (path length -> expected count) whose
-    count falls below ``min_expected`` into a neighbour, from the extreme
+    count falls below ``MIN_EXPECTED`` into a neighbour, from the extreme
     tails inward, and return ``[path lengths, expected count]`` per bin.
     Raises :class:`InsufficientBinsError` unless two or more bins remain.
     """
-    if min_expected <= 0:
-        raise StatsError("min_expected must be positive")
     bins = [[[k], expected[k]] for k in sorted(expected)]
 
     def merge_into(src: int, dst: int):
@@ -151,24 +147,20 @@ def merge_plan(
         bins[dst][1] += bins[src][1]
         del bins[src]
 
-    while len(bins) > 1 and bins[0][1] < min_expected:
+    while len(bins) > 1 and bins[0][1] < MIN_EXPECTED:
         merge_into(0, 1)
-    while len(bins) > 1 and bins[-1][1] < min_expected:
+    while len(bins) > 1 and bins[-1][1] < MIN_EXPECTED:
         merge_into(len(bins) - 1, len(bins) - 2)
+    # Both end bins now expect MIN_EXPECTED or more and only grow, so a thin
+    # bin is interior: it joins whichever neighbour is smaller.
     while len(bins) > 2:
         idx = min(range(len(bins)), key=lambda i: bins[i][1])
-        if bins[idx][1] >= min_expected:
+        if bins[idx][1] >= MIN_EXPECTED:
             break
-        # interior stragglers join whichever neighbour is smaller
         left, right = idx - 1, idx + 1
-        if left < 0:
-            merge_into(idx, right)
-        elif right >= len(bins) or bins[left][1] <= bins[right][1]:
-            merge_into(idx, left)
-        else:
-            merge_into(idx, right)
+        merge_into(idx, left if bins[left][1] <= bins[right][1] else right)
 
-    if len(bins) < 2 or any(b[1] < min_expected for b in bins):
+    if len(bins) < 2:
         raise InsufficientBinsError(
             "fewer than two valid bins remain after merging"
         )
@@ -176,9 +168,7 @@ def merge_plan(
 
 
 def chi_square_counts(
-    observed: PathLengthHistogram,
-    theoretical_probs: Mapping[int, float],
-    min_expected: float = MIN_EXPECTED,
+    observed: PathLengthHistogram, theoretical_probs: Mapping[int, float]
 ) -> ChiSquareResult:
     """Standard count-based goodness-of-fit test over the bins of
     :func:`merge_plan`, with expected count total * p per path length."""
@@ -187,9 +177,7 @@ def chi_square_counts(
         raise StatsError("observed histogram is empty")
 
     support = set(theoretical_probs) | set(observed.counts)
-    plan = merge_plan(
-        {k: total * theoretical_probs.get(k, 0.0) for k in support}, min_expected
-    )
+    plan = merge_plan({k: total * theoretical_probs.get(k, 0.0) for k in support})
     stat = sum(
         (sum(observed.counts.get(k, 0) for k in labels) - exp) ** 2 / exp
         for labels, exp in plan

@@ -117,6 +117,13 @@ def test_report_determinism_two_runs():
      "a48aacf6b853fc746c5b71b2d5aa6a6bf342b9ee021b4350b415ec363ff3733b"),
     (ExperimentConfig(sizes=(50,), trials=1, master_seed=3, mode="crypto"),
      "30399011719064a9cdd13ffa7b564e1560a9e4e468552d38bd5c86292267df5f"),
+    # the benchmark's validate-paper, crypto-jobs2 and large-1m configs
+    (ExperimentConfig(sizes=(100, 1_000, 10_000, 100_000), trials=10, master_seed=1),
+     "aa1db0b82b78a3d737e4910a601fe44ca5e6576b2cb7c5171ef2ee7e97b87392"),
+    (ExperimentConfig(sizes=(1_000,), trials=4, master_seed=1, mode="crypto"),
+     "4fcd051ed5b230e2e0981dd7189be1d1626d1691a11de0c15f66445325623e7a"),
+    (ExperimentConfig(sizes=(1_000_000,), trials=1, master_seed=1, allow_large=True),
+     "ed87d6ab80ecd940ca382c4f1db1014d390d0ddb418a86435dff67e01323dc26"),
 ])
 def test_report_bytes_pinned(cfg, sha256):
     """Reports are byte-identical across versions of the program, not only

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 from click.testing import CliRunner
 
+from pathlab import cli as cli_module
 from pathlab.cli import cli, main
 from pathlab.harness import ExperimentConfig, report_to_json, run_experiment
 from pathlab.report import (
@@ -81,6 +83,17 @@ def test_reproduce_tables_deterministic(tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
+def test_reproduce_tables_bytes_pinned(tmp_path):
+    """The six tables at the CLI's defaults are byte-identical across
+    versions of the program."""
+    digest = hashlib.sha256()
+    for path in reproduce_tables(tmp_path, master_seed=0, trials=10):
+        digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert digest.hexdigest() == (
+        "42985e85602a94902ab46d6df9a561361b194a519b307bef65ff2fb66caed96d"
+    )
+
+
 def test_cli_model_markdown():
     result = CliRunner().invoke(cli, ["model", "--n", "100"])
     assert result.exit_code == 0
@@ -113,6 +126,15 @@ def test_cli_usage_error_exit_code():
 def test_cli_config_error_exit_code(capsys):
     assert main(["simulate", "--sizes", "1", "--trials", "1"]) == 1
     capsys.readouterr()
+
+
+def test_cli_unwritable_out_fails_before_any_trial(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli_module, "run_experiment", calls.append)
+    out = tmp_path / "missing" / "report.json"
+    assert main(["validate", "--sizes", "100", "--trials", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count(str(out)) == 1
+    assert calls == []
 
 
 def test_cli_bad_sizes_string():

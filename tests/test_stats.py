@@ -16,6 +16,7 @@ from pathlab.stats import (
     chi_square_paper,
     compare,
     merge,
+    merge_plan,
     p_value,
 )
 
@@ -119,6 +120,16 @@ def test_chi_square_counts_insufficient_bins():
     observed = PathLengthHistogram({1: 3})
     with pytest.raises(InsufficientBinsError):
         chi_square_counts(observed, {1: 0.9, 2: 0.1})
+
+
+@pytest.mark.parametrize("expected, plan", [
+    # a thin interior bin joins its smaller neighbour: the left one here...
+    ({1: 2, 2: 3, 3: 4, 4: 100}, [[[1, 2, 3], 9], [[4], 100]]),
+    # ...and the right one here
+    ({1: 100, 2: 3, 3: 6}, [[[1], 100], [[2, 3], 9]]),
+])
+def test_merge_plan_merges_interior_bins(expected, plan):
+    assert merge_plan(expected) == plan
 
 
 def test_chi_square_counts_empty():
