@@ -8,7 +8,9 @@ oracle the kernel is tested against. The kernel sorts 8-byte key
 prefixes as integers, so a trial's memory is a small multiple of its
 keys' 20 bytes each: sizes above ``LARGE_SIZE_THRESHOLD`` need
 ``allow_large``, and ``MAX_SIZE`` (10,000,000 keys, about 395 MB peak
-RSS) is the most one trial may hold.
+RSS) is the most one trial may hold. A size with too few pooled keys for
+two count chi-square bins is refused when :class:`ExperimentConfig` is
+built, before any trial runs or the command line opens ``--out``.
 
 Reports are a pure function of the configuration. Each (size, trial)
 pair gets its own generator seed derived with splitmix64 from
@@ -28,7 +30,9 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 
 from . import addrgen, model, stats
 from .trie import sorted_shape
@@ -59,6 +63,10 @@ class ExperimentConfig:
         object.__setattr__(self, "sizes", tuple(self.sizes))
         if not self.sizes:
             raise ConfigError("at least one size is required")
+        if self.trials < 1:
+            raise ConfigError("trials must be >= 1")
+        if self.mode not in ("uniform", "crypto"):
+            raise ConfigError(f"unknown generator mode {self.mode!r}")
         for n in self.sizes:
             if n < 2:
                 raise ConfigError(f"size {n} is below the minimum of 2")
@@ -70,10 +78,16 @@ class ExperimentConfig:
                     "to run it anyway (peak RSS about 75 MB at 1,000,000 keys and "
                     "395 MB at 10,000,000)"
                 )
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.mode not in ("uniform", "crypto"):
-            raise ConfigError(f"unknown generator mode {self.mode!r}")
+            total = n * self.trials
+            pmf = model.distribution(model.ModelParams(n=n)).probabilities
+            try:
+                stats.merge_plan({k: total * p for k, p in pmf.items()})
+            except stats.InsufficientBinsError:
+                raise ConfigError(
+                    f"size {n} with trials {self.trials} pools {total} keys, too few "
+                    "for the count chi-square to keep two bins expecting "
+                    f">= {stats.MIN_EXPECTED:g} each; use more trials"
+                ) from None
 
 
 _MASK64 = (1 << 64) - 1
@@ -111,6 +125,7 @@ class SizeResult:
     avg_node_count: float
     model_distribution: model.ModelDistribution
     comparison_rows: list[stats.ComparisonRow]
+    table_rows: list[stats.ComparisonRow]         # over the reference table's span
     chi_square_paper: stats.ChiSquareResult
     chi_square_counts: stats.ChiSquareResult
     level_census: dict[int, dict[str, int]]       # pooled across trials
@@ -134,33 +149,28 @@ def run_trial(size: int, trial: int, cfg: ExperimentConfig) -> TrialResult:
     )
 
 
-def table_span(probabilities: dict[int, float], rows: int = 6,
-               threshold: float = 1e-3) -> list[int]:
-    """The consecutive path lengths a reference-style table covers:
-    ``rows`` entries starting at the first length whose theoretical
-    probability reaches ``threshold``."""
+TABLE_ROWS = 6
+TABLE_THRESHOLD = 1e-3
+
+
+def table_span(probabilities: dict[int, float]) -> list[int]:
+    """The ``TABLE_ROWS`` consecutive path lengths a reference-style table
+    covers, from the first whose probability reaches ``TABLE_THRESHOLD``."""
     start = min(
-        (k for k, p in sorted(probabilities.items()) if p >= threshold),
+        (k for k, p in sorted(probabilities.items()) if p >= TABLE_THRESHOLD),
         default=min(probabilities),
     )
-    return [k for k in range(start, start + rows) if k in probabilities]
+    return [k for k in range(start, start + TABLE_ROWS) if k in probabilities]
 
 
 def _aggregate(size: int, trials: list[TrialResult]) -> SizeResult:
-    pooled = stats.PathLengthHistogram({})
-    pooled_nodes = stats.PathLengthHistogram({})
-    census: dict[int, dict[str, int]] = {}
-    trial_means = []
+    pooled = reduce(stats.merge, (t.divergence_histogram for t in trials))
+    pooled_nodes = reduce(stats.merge, (t.node_count_histogram for t in trials))
+    trial_means = [t.divergence_histogram.mean() for t in trials]
+    census: dict[int, Counter] = {}
     for t in trials:
-        pooled = stats.merge(pooled, t.divergence_histogram)
-        pooled_nodes = stats.merge(pooled_nodes, t.node_count_histogram)
-        trial_means.append(t.divergence_histogram.mean())
         for depth, kinds in t.level_census.items():
-            slot = census.setdefault(
-                depth, {"branches": 0, "extensions": 0, "leaves": 0}
-            )
-            for kind, count in kinds.items():
-                slot[kind] += count
+            census.setdefault(depth, Counter()).update(kinds)
 
     dist = model.distribution(model.ModelParams(n=size))
     rows = stats.compare(dist, pooled)
@@ -170,6 +180,7 @@ def _aggregate(size: int, trials: list[TrialResult]) -> SizeResult:
     span = table_span(dist.probabilities)
     theo = {k: dist.probabilities[k] for k in span}
     obs = pooled.probabilities()
+    table_rows = [stats.ComparisonRow(k, p, obs.get(k, 0.0)) for k, p in theo.items()]
     paper_stat = stats.chi_square_paper(obs, theo)
     paper_dof = len(span) - 1
     paper = stats.ChiSquareResult(
@@ -187,6 +198,7 @@ def _aggregate(size: int, trials: list[TrialResult]) -> SizeResult:
         avg_node_count=pooled_nodes.mean(),
         model_distribution=dist,
         comparison_rows=rows,
+        table_rows=table_rows,
         chi_square_paper=paper,
         chi_square_counts=counts,
         level_census={d: census[d] for d in sorted(census)},
@@ -236,20 +248,9 @@ def _run_trials(pairs: list[tuple[int, int]], cfg: ExperimentConfig) -> list[Tri
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the trials of every size and aggregate them per size.
 
-    Before any trial runs, a size is refused whose ``size * trials`` keys
-    the count chi-square's merge plan cannot split into two bins.
+    A size whose ``size * trials`` keys the count chi-square cannot split
+    into two bins never gets here: ``ExperimentConfig`` refuses it.
     """
-    for size in cfg.sizes:
-        total = size * cfg.trials
-        pmf = model.distribution(model.ModelParams(n=size)).probabilities
-        try:
-            stats.merge_plan({k: total * p for k, p in pmf.items()})
-        except stats.InsufficientBinsError:
-            raise ConfigError(
-                f"size {size} with trials {cfg.trials} pools {total} keys, too few "
-                "for the count chi-square to keep two bins expecting "
-                f">= {stats.MIN_EXPECTED:g} each; use more trials"
-            ) from None
     trials = _run_trials([(size, t) for size in cfg.sizes for t in range(cfg.trials)], cfg)
     return ExperimentReport(config=cfg, results=[
         _aggregate(size, trials[i * cfg.trials:(i + 1) * cfg.trials])

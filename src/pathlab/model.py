@@ -98,13 +98,10 @@ def prefix_share_probability(k: int) -> float:
 @dataclass(frozen=True)
 class ModelParams:
     n: int
-    k_max: int = MAX_PATH_LENGTH
 
     def __post_init__(self):
         if self.n < 1:
             raise ModelDomainError("key count n must be >= 1")
-        if not 1 <= self.k_max <= MAX_PATH_LENGTH:
-            raise ModelDomainError(f"k_max must be in [1, {MAX_PATH_LENGTH}]")
 
 
 @dataclass(frozen=True)
@@ -119,6 +116,6 @@ class ModelDistribution:
 
 
 def distribution(params: ModelParams) -> ModelDistribution:
-    """Evaluate the PMF over k in [1, params.k_max]."""
-    probs = {k: pmf(k, params.n) for k in range(1, params.k_max + 1)}
+    """Evaluate the PMF over k in [1, MAX_PATH_LENGTH]."""
+    probs = {k: pmf(k, params.n) for k in range(1, MAX_PATH_LENGTH + 1)}
     return ModelDistribution(n=params.n, probabilities=probs)

@@ -18,7 +18,6 @@ from .harness import (
     ExperimentReport,
     report_to_json,
     run_experiment,
-    table_span,
 )
 
 FORMATS = ("markdown", "csv", "json")
@@ -204,16 +203,8 @@ def reproduce_tables(out_dir: str | Path, master_seed: int = 0,
     paths = []
 
     for i, r in enumerate(report.results, start=1):
-        span = table_span(r.model_distribution.probabilities)
-        obs = r.histogram.probabilities()
-        rows = [
-            stats.ComparisonRow(
-                k, r.model_distribution.probabilities[k], obs.get(k, 0.0)
-            )
-            for k in span
-        ]
         path = out / f"table{i}_path_lengths_{r.size}.csv"
-        path.write_text(_comparison_csv(rows))
+        path.write_text(_comparison_csv(r.table_rows))
         paths.append(path)
 
     lines = ["number_of_addresses,theoretical_avg,experimental_avg,difference"]

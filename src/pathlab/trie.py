@@ -8,6 +8,8 @@ extension-to-extension chains are never reachable.
 
 All stored keys are full 40-nibble paths (20-byte addresses), so branch
 value slots stay empty; the slot exists only for structural fidelity.
+``Trie._walk`` is the one traversal of a whole trie: ``leaf_metrics``,
+``level_census`` and :func:`check_invariants` are loops over it.
 
 :func:`sorted_shape` measures the same depths, node counts and census
 for a whole key set without building the trie; :class:`Trie` is the
@@ -19,7 +21,7 @@ tie, so its temporaries stay near the size of the keys themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import NamedTuple
 
@@ -34,59 +36,22 @@ from .keyspace import (
 )
 
 
+@dataclass(slots=True)
 class Leaf:
-    __slots__ = ("path", "value")
-
-    def __init__(self, path: bytes, value: bytes):
-        self.path = path
-        self.value = value
-
-    def __eq__(self, other):
-        return (
-            type(other) is Leaf
-            and self.path == other.path
-            and self.value == other.value
-        )
-
-    def __repr__(self):
-        return f"Leaf({self.path.hex()}, {self.value!r})"
+    path: bytes
+    value: bytes
 
 
+@dataclass(slots=True)
 class Extension:
-    __slots__ = ("path", "child")
-
-    def __init__(self, path: bytes, child):
-        self.path = path
-        self.child = child
-
-    def __eq__(self, other):
-        return (
-            type(other) is Extension
-            and self.path == other.path
-            and self.child == other.child
-        )
-
-    def __repr__(self):
-        return f"Extension({self.path.hex()}, {self.child!r})"
+    path: bytes
+    child: Branch
 
 
+@dataclass(slots=True)
 class Branch:
-    __slots__ = ("children", "value")
-
-    def __init__(self):
-        self.children = [None] * 16
-        self.value = None
-
-    def __eq__(self, other):
-        return (
-            type(other) is Branch
-            and self.value == other.value
-            and self.children == other.children
-        )
-
-    def __repr__(self):
-        slots = {i: c for i, c in enumerate(self.children) if c is not None}
-        return f"Branch({slots!r})"
+    children: list = field(default_factory=lambda: [None] * 16)
+    value: bytes | None = None
 
 
 @dataclass(frozen=True)
@@ -117,19 +82,12 @@ class LevelCounts:
         return self.branches + self.extensions + self.leaves
 
 
+@dataclass
 class Trie:
     """Mutable Patricia trie keyed by 20-byte addresses; single-writer."""
 
-    def __init__(self):
-        self.root = None
-        self.key_count = 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Trie)
-            and self.key_count == other.key_count
-            and self.root == other.root
-        )
+    root: Leaf | Extension | Branch | None = None
+    key_count: int = 0
 
     # -- mutation ---------------------------------------------------------
 
@@ -148,30 +106,30 @@ class Trie:
             if c == len(path) and c == len(node.path):
                 node.value = value
                 return node, False
-            branch = Branch()
-            branch.children[node.path[c]] = Leaf(node.path[c + 1 :], node.value)
-            branch.children[path[c]] = Leaf(path[c + 1 :], value)
-            if c:
-                return Extension(path[:c], branch), True
-            return branch, True
+            below = Leaf(node.path[c + 1 :], node.value)
+            return self._split(path, value, c, node.path[c], below), True
         if kind is Extension:
             c = longest_common_prefix(node.path, path)
             if c == len(node.path):
                 node.child, added = self._insert(node.child, path[c:], value)
                 return node, added
-            branch = Branch()
             rest = node.path[c + 1 :]
-            branch.children[node.path[c]] = (
-                Extension(rest, node.child) if rest else node.child
-            )
-            branch.children[path[c]] = Leaf(path[c + 1 :], value)
-            if c:
-                return Extension(path[:c], branch), True
-            return branch, True
+            below = Extension(rest, node.child) if rest else node.child
+            return self._split(path, value, c, node.path[c], below), True
         # Branch; equal-length keys guarantee path is non-empty here.
         slot = path[0]
         node.children[slot], added = self._insert(node.children[slot], path[1:], value)
         return node, added
+
+    @staticmethod
+    def _split(path: bytes, value: bytes, c: int, slot: int, below):
+        """Where ``path`` leaves a node after ``c`` shared nibbles: a branch
+        holding ``below``, the node's remainder, at ``slot`` and the new
+        leaf at ``path[c]``, under an extension over the shared nibbles."""
+        branch = Branch()
+        branch.children[slot] = below
+        branch.children[path[c]] = Leaf(path[c + 1 :], value)
+        return Extension(path[:c], branch) if c else branch
 
     def delete(self, key: bytes) -> bool:
         """Remove ``key``; returns False (trie unchanged) when absent."""
@@ -248,26 +206,29 @@ class Trie:
             path = path[1:]
         return None
 
-    def leaf_metrics(self) -> dict:
-        """Map each stored address to its :class:`LeafMetrics`."""
-        out = {}
-        if self.root is None:
-            return out
-        stack = [(self.root, b"", 0)]
+    def _walk(self):
+        """Yield ``(node, prefix, above)`` for every node, parents before
+        children: the nibbles consumed on the path to the node and the
+        number of nodes above it. The one traversal of the whole trie."""
+        stack = [(self.root, b"", 0)] if self.root is not None else []
         while stack:
-            node, prefix, nodes = stack.pop()
+            node, prefix, above = stack.pop()
+            yield node, prefix, above
             kind = type(node)
-            if kind is Leaf:
-                consumed = ADDRESS_NIBBLES - len(node.path)
-                address = from_nibbles(prefix + node.path)
-                out[address] = LeafMetrics(consumed, nodes + 1)
-            elif kind is Extension:
-                stack.append((node.child, prefix + node.path, nodes + 1))
-            else:
+            if kind is Extension:
+                stack.append((node.child, prefix + node.path, above + 1))
+            elif kind is Branch:
                 for i, child in enumerate(node.children):
                     if child is not None:
-                        stack.append((child, prefix + bytes([i]), nodes + 1))
-        return out
+                        stack.append((child, prefix + bytes([i]), above + 1))
+
+    def leaf_metrics(self) -> dict:
+        """Map each stored address to its :class:`LeafMetrics`."""
+        return {
+            from_nibbles(prefix + node.path): LeafMetrics(len(prefix), above + 1)
+            for node, prefix, above in self._walk()
+            if type(node) is Leaf
+        }
 
     def level_census(self) -> dict:
         """Per nibble-depth counts of node kinds.
@@ -276,47 +237,33 @@ class Trie:
         before reaching it (the root sits at depth 0).
         """
         census: dict[int, LevelCounts] = {}
-        if self.root is None:
-            return census
-        stack = [(self.root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            level = census.setdefault(depth, LevelCounts())
+        for node, prefix, _ in self._walk():
+            level = census.setdefault(len(prefix), LevelCounts())
             kind = type(node)
             if kind is Leaf:
                 level.leaves += 1
             elif kind is Extension:
                 level.extensions += 1
-                stack.append((node.child, depth + len(node.path)))
             else:
                 level.branches += 1
-                for child in node.children:
-                    if child is not None:
-                        stack.append((child, depth + 1))
         return census
 
 
 def check_invariants(trie: Trie) -> None:
     """Assert every structural invariant; used after mutations in tests."""
     leaves = 0
-    stack = [(trie.root, 0)] if trie.root is not None else []
-    while stack:
-        node, consumed = stack.pop()
+    for node, prefix, _ in trie._walk():
         kind = type(node)
         if kind is Leaf:
             leaves += 1
-            assert consumed + len(node.path) == ADDRESS_NIBBLES, "key length != 40"
+            assert len(prefix) + len(node.path) == ADDRESS_NIBBLES, "key length != 40"
         elif kind is Extension:
             assert len(node.path) >= 1, "empty extension fragment"
             assert type(node.child) is Branch, "extension child must be a branch"
-            stack.append((node.child, consumed + len(node.path)))
         elif kind is Branch:
             assert node.value is None, "branch value slot must stay empty"
             live = [c for c in node.children if c is not None]
             assert len(live) >= 2, "degenerate single-child branch"
-            for i, child in enumerate(node.children):
-                if child is not None:
-                    stack.append((child, consumed + 1))
         else:
             raise AssertionError(f"unknown node type {kind}")
     assert leaves == trie.key_count, "key_count out of sync with leaves"

@@ -44,9 +44,8 @@ def test_too_few_keys_for_two_bins_rejected_before_any_trial(monkeypatch, size, 
         raise AssertionError("a trial ran before the config was checked")
 
     monkeypatch.setattr(harness, "run_trial", no_trial)
-    cfg = ExperimentConfig(sizes=(100, size), trials=trials)
     with pytest.raises(ConfigError, match=f"size {size} with trials {trials} "):
-        run_experiment(cfg)
+        ExperimentConfig(sizes=(100, size), trials=trials)
 
 
 @pytest.mark.parametrize("size", [20, 50])

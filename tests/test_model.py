@@ -143,7 +143,3 @@ def test_small_n_is_only_an_approximation():
 def test_params_validation():
     with pytest.raises(ModelDomainError):
         ModelParams(n=0)
-    with pytest.raises(ModelDomainError):
-        ModelParams(n=10, k_max=0)
-    with pytest.raises(ModelDomainError):
-        ModelParams(n=10, k_max=42)

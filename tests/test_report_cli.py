@@ -59,6 +59,18 @@ def test_render_report_formats():
     assert parsed["results"][0]["size"] == 100
 
 
+@pytest.mark.parametrize("fmt, sha256", [
+    ("markdown", "aefa6a3b383928f471ef128a707cc3691e612129972c75ced9711ab24dce0435"),
+    ("csv", "063e1fbec9cc0c43f65e8a2fc640db187eb77c1a900d054fc930a040521dfd45"),
+])
+def test_render_report_bytes_pinned(fmt, sha256):
+    """The markdown and CSV renderings of the benchmark's validate-paper
+    config are byte-identical across versions of the program."""
+    cfg = ExperimentConfig(sizes=(100, 1_000, 10_000, 100_000), trials=10, master_seed=1)
+    text = render_report(run_experiment(cfg), fmt).encode()
+    assert hashlib.sha256(text).hexdigest() == sha256
+
+
 def test_reproduce_tables_writes_six_files(tmp_path):
     paths = reproduce_tables(tmp_path / "tables", trials=2)
     assert len(paths) == 6
@@ -135,6 +147,15 @@ def test_cli_unwritable_out_fails_before_any_trial(tmp_path, monkeypatch, capsys
     assert main(["validate", "--sizes", "100", "--trials", "2", "--out", str(out)]) == 2
     assert capsys.readouterr().err.count(str(out)) == 1
     assert calls == []
+
+
+def test_cli_refused_config_keeps_existing_out_file(tmp_path):
+    """A config refused as too small for two chi-square bins fails before
+    ``--out`` is opened, so an existing file is left as it was."""
+    keep = tmp_path / "keep.json"
+    keep.write_bytes(b"keep")
+    assert main(["validate", "--sizes", "2", "--trials", "1", "--out", str(keep)]) == 1
+    assert keep.read_bytes() == b"keep"
 
 
 def test_cli_bad_sizes_string():

@@ -148,7 +148,7 @@ for mode in ("uniform", "crypto"):
     addrgen.generate(addrgen.GeneratorConfig(mode=mode, seed=1, count=2))
 before = set(sys.modules)
 run_trial(1_000, 0, ExperimentConfig(sizes=(1_000,), trials=1))
-run_trial(2, 0, ExperimentConfig(sizes=(2,), trials=1, mode="crypto"))
+run_trial(2, 0, ExperimentConfig(sizes=(20,), trials=1, mode="crypto"))
 print(" ".join(sorted(set(sys.modules) - before)))
 """
     src = os.path.dirname(os.path.dirname(pathlab.__file__))

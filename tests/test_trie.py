@@ -199,3 +199,35 @@ def test_extension_nodes_appear(addr):
     assert isinstance(under_a, Extension)
     assert under_a.path == bytes([0xA, 0xA, 0xA])
     check_invariants(t)
+
+
+def _leaf(consumed):
+    return Leaf(bytes(40 - consumed), b"")
+
+
+def _branch(*children, value=None):
+    branch = Branch()
+    branch.children[:len(children)] = children
+    branch.value = value
+    return branch
+
+
+def _trie(root, key_count):
+    t = Trie()
+    t.root, t.key_count = root, key_count
+    return t
+
+
+@pytest.mark.parametrize("trie, message", [
+    (_trie(_branch(_leaf(1)), 1), "single-child branch"),
+    (_trie(Extension(bytes(2), _leaf(2)), 1), "child must be a branch"),
+    (_trie(Extension(b"", _branch(_leaf(1), _leaf(1))), 2), "empty extension fragment"),
+    (_trie(_branch(_leaf(1), _leaf(1), value=b"v"), 2), "value slot must stay empty"),
+    (_trie(_branch(_leaf(1), _leaf(2)), 2), "key length != 40"),
+    (_trie(_branch(_leaf(1), _leaf(1)), 3), "key_count out of sync"),
+    (_trie(_branch(_leaf(1), object()), 2), "unknown node type"),
+], ids=["single-child-branch", "extension-to-leaf", "empty-extension",
+        "branch-value", "short-leaf-path", "key-count", "unknown-node"])
+def test_check_invariants_rejects_broken_trie(trie, message):
+    with pytest.raises(AssertionError, match=message):
+        check_invariants(trie)
