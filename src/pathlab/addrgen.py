@@ -1,6 +1,7 @@
 """Deterministic, seedable generation of random 20-byte addresses.
 
-Two modes:
+``generate(count, seed=0, mode="uniform")`` returns ``count`` addresses
+as a ``(count, 20)`` uint8 array in one of the two ``MODES``:
 
 * ``uniform`` (default): draw 20 octets straight from a seeded PCG64
   stream. PCG64 has 128-bit state and passes the standard statistical
@@ -22,8 +23,6 @@ Two modes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -38,22 +37,13 @@ from .secp256k1 import public_keys
 # and points stay a few MB at any trial size.
 CRYPTO_BATCH = 4096
 
+# The generator modes; the experiment config and the command line take
+# their names from here.
+MODES = ("uniform", "crypto")
+
 
 class InvalidPrivateKeyError(ValueError):
     """Scalar outside [1, group order - 1]."""
-
-
-@dataclass(frozen=True)
-class GeneratorConfig:
-    mode: Literal["uniform", "crypto"] = "uniform"
-    seed: int = 0
-    count: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("uniform", "crypto"):
-            raise ValueError(f"unknown generator mode {self.mode!r}")
-        if self.count < 0:
-            raise ValueError("count must be non-negative")
 
 
 def crypto_derive(private_key: bytes | int) -> bytes:
@@ -74,20 +64,24 @@ def crypto_derive(private_key: bytes | int) -> bytes:
     return keccak256(public_keys([private_key]).tobytes())[-ADDRESS_BYTES:]
 
 
-def generate(cfg: GeneratorConfig) -> np.ndarray:
-    """Produce ``cfg.count`` addresses as a ``(count, 20)`` uint8 array, one
-    address per row; bit-exact for identical configs."""
-    if cfg.mode == "uniform":
+def generate(count: int, seed: int = 0, mode: str = "uniform") -> np.ndarray:
+    """Produce ``count`` addresses as a ``(count, 20)`` uint8 array, one
+    address per row; bit-exact for identical arguments."""
+    if mode not in MODES:
+        raise ValueError(f"unknown generator mode {mode!r}")
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    if mode == "uniform":
         # The bytes ``integers(0, 256, (count, 20), uint8)`` gives on this
         # stream: numpy fills full-range uint8 from 32-bit draws, low byte
         # first, and PCG64 yields each 64-bit word's low half first.
-        nbytes = cfg.count * ADDRESS_BYTES
-        words = np.random.PCG64(cfg.seed).random_raw(-(-nbytes // 8))
+        nbytes = count * ADDRESS_BYTES
+        words = np.random.PCG64(seed).random_raw(-(-nbytes // 8))
         octets = words.astype("<u8", copy=False).view(np.uint8)
-        return octets[:nbytes].reshape(cfg.count, ADDRESS_BYTES)
-    rng = np.random.default_rng(np.random.PCG64(cfg.seed))
-    addresses = np.empty((cfg.count, ADDRESS_BYTES), dtype=np.uint8)
-    for start in range(0, cfg.count, CRYPTO_BATCH):
+        return octets[:nbytes].reshape(count, ADDRESS_BYTES)
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    addresses = np.empty((count, ADDRESS_BYTES), dtype=np.uint8)
+    for start in range(0, count, CRYPTO_BATCH):
         rows = addresses[start : start + CRYPTO_BATCH]
         scalars = []
         while len(scalars) < len(rows):

@@ -20,6 +20,7 @@ import sys
 
 import click
 
+from .addrgen import MODES
 from .harness import (
     DEFAULT_SIZES,
     DEFAULT_TRIALS,
@@ -74,7 +75,7 @@ def _experiment_options(fn):
         click.option("--trials", type=click.IntRange(min=1),
                      default=DEFAULT_TRIALS, show_default=True),
         _seed_option,
-        click.option("--mode", type=click.Choice(["uniform", "crypto"]),
+        click.option("--mode", type=click.Choice(MODES),
                      default="uniform", show_default=True),
         click.option("--allow-large", is_flag=True,
                      help=f"Permit sizes above {LARGE_SIZE_THRESHOLD}."),

@@ -65,7 +65,7 @@ class ExperimentConfig:
             raise ConfigError("at least one size is required")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.mode not in ("uniform", "crypto"):
+        if self.mode not in addrgen.MODES:
             raise ConfigError(f"unknown generator mode {self.mode!r}")
         for n in self.sizes:
             if n < 2:
@@ -139,9 +139,7 @@ class ExperimentReport:
 
 def run_trial(size: int, trial: int, cfg: ExperimentConfig) -> TrialResult:
     seed = trial_seed(cfg.master_seed, size, trial)
-    shape = sorted_shape(
-        addrgen.generate(addrgen.GeneratorConfig(mode=cfg.mode, seed=seed, count=size))
-    )
+    shape = sorted_shape(addrgen.generate(size, seed, cfg.mode))
     return TrialResult(
         divergence_histogram=stats.PathLengthHistogram(shape.depths),
         node_count_histogram=stats.PathLengthHistogram(shape.node_counts),
@@ -173,7 +171,7 @@ def _aggregate(size: int, trials: list[TrialResult]) -> SizeResult:
             census.setdefault(depth, Counter()).update(kinds)
 
     dist = model.distribution(model.ModelParams(n=size))
-    rows = stats.compare(dist, pooled)
+    rows = stats.compare(dist.probabilities, pooled)
 
     # Probability-basis statistic over the reference-style table span; the
     # full support would divide by underflowed tail probabilities.

@@ -1,47 +1,20 @@
-"""Canonical address / nibble-path representation.
+"""Address widths and the address <-> nibble-path conversion.
 
-An address is 20 raw bytes (rendered as 40 lowercase hex characters); a
-nibble path is a ``bytes`` object whose elements are 4-bit symbols in
-``[0, 15]``. A full key corresponds to a path of exactly 40 nibbles, one
-per hex digit, high nibble of each byte first.
+An address is 20 raw bytes; a nibble path is a ``bytes`` object whose
+elements are 4-bit symbols in ``[0, 15]``. A full key corresponds to a
+path of exactly 40 nibbles, one per hex digit, high nibble of each byte
+first. :func:`longest_common_prefix` counts the nibbles two paths share.
 """
 
 from __future__ import annotations
 
-import string
-
 ADDRESS_BYTES = 20
 ADDRESS_NIBBLES = 40
 
-_HEX_DIGITS = frozenset(string.hexdigits)
-
 
 class AddressError(ValueError):
-    """Raised when a hex string is not a valid 20-byte address."""
-
-
-def parse_address(text: str) -> bytes:
-    """Parse a 40-hex-char string (optional ``0x`` prefix, any case).
-
-    Raises :class:`AddressError` naming the offending position for
-    non-hex characters, or the actual length when it is wrong.
-    """
-    body = text[2:] if text[:2].lower() == "0x" else text
-    if len(body) != ADDRESS_NIBBLES:
-        raise AddressError(
-            f"address must be {ADDRESS_NIBBLES} hex characters, got {len(body)}"
-        )
-    for pos, ch in enumerate(body):
-        if ch not in _HEX_DIGITS:
-            raise AddressError(f"invalid hex character {ch!r} at position {pos}")
-    return bytes.fromhex(body)
-
-
-def format_address(address: bytes) -> str:
-    """Render an address in canonical lowercase form with ``0x`` prefix."""
-    if len(address) != ADDRESS_BYTES:
-        raise AddressError(f"address must be {ADDRESS_BYTES} bytes, got {len(address)}")
-    return "0x" + address.hex()
+    """Raised when an address or a nibble path has the wrong length or a
+    nibble is out of range."""
 
 
 # Hex digit <-> nibble value, as byte-translation tables.

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .model import ModelDistribution
-
 
 class StatsError(ValueError):
     pass
@@ -85,20 +83,18 @@ DISPLAY_THRESHOLD = 5e-7
 
 
 def compare(
-    model_dist: ModelDistribution, observed: PathLengthHistogram
+    theoretical_probs: Mapping[int, float], observed: PathLengthHistogram
 ) -> list[ComparisonRow]:
     """Side-by-side rows over every path length where either probability
     clears the six-decimal display threshold."""
     if observed.total == 0:
         raise StatsError("observed histogram is empty")
     obs = observed.probabilities()
-    theo = model_dist.probabilities
-    support = sorted(
-        k
-        for k in set(obs) | set(theo)
-        if obs.get(k, 0.0) >= DISPLAY_THRESHOLD or theo.get(k, 0.0) >= DISPLAY_THRESHOLD
-    )
-    return [ComparisonRow(k, theo.get(k, 0.0), obs.get(k, 0.0)) for k in support]
+    rows = [
+        ComparisonRow(k, theoretical_probs.get(k, 0.0), obs.get(k, 0.0))
+        for k in sorted(set(obs) | set(theoretical_probs))
+    ]
+    return [r for r in rows if max(r.theoretical_prob, r.experimental_prob) >= DISPLAY_THRESHOLD]
 
 
 def chi_square_paper(

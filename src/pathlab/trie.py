@@ -13,7 +13,9 @@ value slots stay empty; the slot exists only for structural fidelity.
 
 :func:`sorted_shape` measures the same depths, node counts and census
 for a whole key set without building the trie; :class:`Trie` is the
-paper's instrument and the oracle the kernel is tested against. The
+paper's instrument and the oracle the kernel is tested against. Both
+give the census in one format: nibble depth -> ``{"branches": …,
+"extensions": …, "leaves": …}`` (``CENSUS_KINDS``), ascending. The
 kernel sorts each key's first 8 bytes as an unsigned 64-bit integer and
 turns to the full 20-byte keys only for the rare groups whose prefixes
 tie, so its temporaries stay near the size of the keys themselves.
@@ -69,17 +71,9 @@ class LeafMetrics:
     node_count: int
 
 
-@dataclass
-class LevelCounts:
-    """Node-kind census for one nibble depth."""
-
-    branches: int = 0
-    extensions: int = 0
-    leaves: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.branches + self.extensions + self.leaves
+# The node kinds a level census counts, in the order each depth's dict
+# lists them.
+CENSUS_KINDS = ("branches", "extensions", "leaves")
 
 
 @dataclass
@@ -230,23 +224,20 @@ class Trie:
             if type(node) is Leaf
         }
 
-    def level_census(self) -> dict:
-        """Per nibble-depth counts of node kinds.
+    def level_census(self) -> dict[int, dict[str, int]]:
+        """Per nibble-depth counts of node kinds, as
+        ``{depth: {"branches": …, "extensions": …, "leaves": …}}`` in
+        ascending depth, depths without nodes left out.
 
         Depth of a node is the number of nibbles consumed on the path
         before reaching it (the root sits at depth 0).
         """
-        census: dict[int, LevelCounts] = {}
+        kind_name = dict(zip((Branch, Extension, Leaf), CENSUS_KINDS))
+        census: dict[int, dict[str, int]] = {}
         for node, prefix, _ in self._walk():
-            level = census.setdefault(len(prefix), LevelCounts())
-            kind = type(node)
-            if kind is Leaf:
-                level.leaves += 1
-            elif kind is Extension:
-                level.extensions += 1
-            else:
-                level.branches += 1
-        return census
+            level = census.setdefault(len(prefix), dict.fromkeys(CENSUS_KINDS, 0))
+            level[kind_name[type(node)]] += 1
+        return {d: census[d] for d in sorted(census)}
 
 
 def check_invariants(trie: Trie) -> None:
@@ -274,8 +265,8 @@ class TrieShape(NamedTuple):
 
     depths: divergence depth -> number of keys (``leaf_metrics``).
     node_counts: root-to-leaf node count -> number of keys.
-    census: nibble depth -> {"branches", "extensions", "leaves"} counts,
-        ascending, depths without nodes left out (``level_census``).
+    census: nibble depth -> ``CENSUS_KINDS`` counts, ascending, depths
+        without nodes left out (``level_census``).
     """
 
     depths: dict[int, int]
@@ -441,5 +432,5 @@ def _shape_from_lcps(lcp: np.ndarray) -> TrieShape:
                          fillvalue=0)
     for d, counts in enumerate(levels):
         if any(counts):
-            census[d] = dict(zip(("branches", "extensions", "leaves"), counts))
+            census[d] = dict(zip(CENSUS_KINDS, counts))
     return TrieShape(_histogram(depth), _histogram(node_counts), census)

@@ -10,7 +10,6 @@ import pathlab
 from pathlab import addrgen
 from pathlab.addrgen import (
     SECP256K1_ORDER,
-    GeneratorConfig,
     InvalidPrivateKeyError,
     collision_probability,
     crypto_derive,
@@ -27,25 +26,33 @@ def first_nibble_uniformity_p(addresses):
     return chi_square_counts(hist, uniform).p_value
 
 
+def test_generate_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="unknown generator mode 'bogus'"):
+        generate(1, mode="bogus")
+
+
+def test_generate_rejects_negative_count():
+    with pytest.raises(ValueError, match="non-negative"):
+        generate(-1)
+
+
 def test_empty_batch():
-    batch = generate(GeneratorConfig(count=0))
+    batch = generate(0)
     assert batch.shape == (0, 20)
     assert batch.dtype == np.uint8
 
 
 def test_determinism():
-    cfg = GeneratorConfig(mode="uniform", seed=123, count=500)
-    assert np.array_equal(generate(cfg), generate(cfg))
+    assert np.array_equal(generate(500, 123), generate(500, 123))
 
 
 def test_crypto_determinism():
-    cfg = GeneratorConfig(mode="crypto", seed=9, count=5)
-    assert np.array_equal(generate(cfg), generate(cfg))
+    assert np.array_equal(generate(5, 9, "crypto"), generate(5, 9, "crypto"))
 
 
 def test_distinct_seeds_differ():
-    a = generate(GeneratorConfig(seed=1, count=10))
-    b = generate(GeneratorConfig(seed=2, count=10))
+    a = generate(10, 1)
+    b = generate(10, 2)
     assert not np.array_equal(a, b)
 
 
@@ -58,7 +65,7 @@ def test_distinct_seeds_differ():
 def test_pinned_first_keys(mode, first, second):
     """The key streams are part of every report: a change to how a batch
     is drawn changes every published result."""
-    batch = generate(GeneratorConfig(mode=mode, seed=0, count=2))
+    batch = generate(2, 0, mode)
     assert [bytes(row).hex() for row in batch] == [first, second]
 
 
@@ -71,13 +78,13 @@ def test_uniform_keys_match_pcg64_uint8_stream(seed):
         reference = np.random.default_rng(np.random.PCG64(seed)).integers(
             0, 256, (count, 20), np.uint8
         )
-        keys = generate(GeneratorConfig(seed=seed, count=count))
+        keys = generate(count, seed)
         assert keys.dtype == np.uint8 and keys.shape == (count, 20)
         assert np.array_equal(keys, reference), count
 
 
 def test_nibble_position_frequencies_within_4_sigma():
-    addresses = generate(GeneratorConfig(seed=11, count=10_000))
+    addresses = generate(10_000, 11)
     n = len(addresses)
     p = 1 / 16
     sigma = math.sqrt(p * (1 - p) / n)
@@ -90,13 +97,13 @@ def test_nibble_position_frequencies_within_4_sigma():
 
 
 def test_first_nibble_chi_square_100k():
-    addresses = generate(GeneratorConfig(seed=5, count=100_000))
+    addresses = generate(100_000, 5)
     assert first_nibble_uniformity_p(addresses) > 0.001
 
 
 def test_crypto_mode_uniformity():
     # smaller batch than uniform mode: the full pipeline costs ~0.11 ms per key
-    addresses = generate(GeneratorConfig(mode="crypto", seed=5, count=8_000))
+    addresses = generate(8_000, 5, "crypto")
     assert first_nibble_uniformity_p(addresses) > 0.001
 
 
@@ -149,17 +156,16 @@ def _drawn_scalars(seed, count, order=SECP256K1_ORDER):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_crypto_batch_matches_per_key_derivation(seed):
-    batch = generate(GeneratorConfig(mode="crypto", seed=seed, count=12))
+    batch = generate(12, seed, "crypto")
     assert [bytes(row) for row in batch] == [
         crypto_derive(k) for k in _drawn_scalars(seed, 12)
     ]
 
 
 def test_crypto_batch_size_does_not_change_keys(monkeypatch):
-    cfg = GeneratorConfig(mode="crypto", seed=4, count=10)
-    whole = generate(cfg)
+    whole = generate(10, 4, "crypto")
     monkeypatch.setattr(addrgen, "CRYPTO_BATCH", 3)
-    assert np.array_equal(generate(cfg), whole)
+    assert np.array_equal(generate(10, 4, "crypto"), whole)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -175,7 +181,7 @@ def test_block_draw_matches_row_by_row_rejection(monkeypatch, seed):
     monkeypatch.setattr(addrgen, "SECP256K1_ORDER", 2**255)
     monkeypatch.setattr(addrgen, "CRYPTO_BATCH", 7)
     monkeypatch.setattr(addrgen, "public_keys", recording_public_keys)
-    generate(GeneratorConfig(mode="crypto", seed=seed, count=40))
+    generate(40, seed, "crypto")
     assert drawn == _drawn_scalars(seed, 40, order=2**255)
     assert drawn != _drawn_scalars(seed, 40)  # rows were rejected
 
@@ -187,7 +193,7 @@ def test_crypto_mode_needs_no_cryptography_package():
 import sys
 import pathlab.cli
 from pathlab import addrgen
-addrgen.generate(addrgen.GeneratorConfig(mode="crypto", seed=1, count=3))
+addrgen.generate(3, 1, "crypto")
 print(" ".join(m for m in sys.modules if m.split(".")[0] == "cryptography"))
 """
     src = os.path.dirname(os.path.dirname(pathlab.__file__))

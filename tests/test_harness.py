@@ -38,6 +38,11 @@ def test_config_rejects_zero_trials():
         ExperimentConfig(sizes=(100,), trials=0)
 
 
+def test_config_rejects_unknown_mode():
+    with pytest.raises(ConfigError, match="unknown generator mode 'bogus'"):
+        ExperimentConfig(sizes=(100,), mode="bogus")
+
+
 @pytest.mark.parametrize("size, trials", [(30, 1), (2, 10)])
 def test_too_few_keys_for_two_bins_rejected_before_any_trial(monkeypatch, size, trials):
     def no_trial(*_args):

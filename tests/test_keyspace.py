@@ -1,43 +1,7 @@
 import numpy as np
 import pytest
 
-from pathlab.keyspace import (
-    AddressError,
-    format_address,
-    from_nibbles,
-    longest_common_prefix,
-    parse_address,
-    to_nibbles,
-)
-
-
-def test_parse_mixed_case():
-    a = parse_address("0x742d35Cc6634C0532925a3b844Bc454e4438f44e")
-    assert a[0] == 0x74
-    assert format_address(a) == "0x742d35cc6634c0532925a3b844bc454e4438f44e"
-
-
-def test_parse_zero_address():
-    assert parse_address("0x" + "0" * 40) == b"\x00" * 20
-
-
-def test_parse_without_prefix():
-    assert parse_address("742d35cc6634c0532925a3b844bc454e4438f44e")[0] == 0x74
-
-
-def test_parse_wrong_length():
-    with pytest.raises(AddressError, match="40 hex characters"):
-        parse_address("0x1234")
-
-
-def test_parse_bad_character_reports_position():
-    with pytest.raises(AddressError, match="position 7"):
-        parse_address("0x" + "0" * 7 + "g" + "0" * 32)
-
-
-def test_parse_render_roundtrip():
-    text = "0x742d35cc6634c0532925a3b844bc454e4438f44e"
-    assert format_address(parse_address(text)) == text
+from pathlab.keyspace import AddressError, from_nibbles, longest_common_prefix, to_nibbles
 
 
 def test_to_nibbles_zero():
@@ -53,6 +17,15 @@ def test_nibble_roundtrip_random():
     for _ in range(1000):
         a = rng.integers(0, 256, size=20, dtype=np.uint8).tobytes()
         assert from_nibbles(to_nibbles(a)) == a
+
+
+def test_nibble_conversion_rejects_malformed_input():
+    with pytest.raises(AddressError, match="20 bytes, got 19"):
+        to_nibbles(bytes(19))
+    with pytest.raises(AddressError, match="40 nibbles"):
+        from_nibbles(bytes(39))
+    with pytest.raises(AddressError, match="out of range"):
+        from_nibbles(bytes(39) + b"\x10")
 
 
 def test_lcp_identical():

@@ -49,6 +49,27 @@ def test_model_query_unknown_format():
         model_query(100, fmt="xml")
 
 
+@pytest.mark.parametrize("n, fmt, sha256", [
+    (1, "markdown", "10822a346fbe536507f1222099ca061e926d3af93df084a59eed128579881b0f"),
+    (1, "csv", "eac4bb80e9b7014406c6df649c6bd41fc916ea412b13c275f9d82b66b895f782"),
+    (1, "json", "24045c02600b7889adb0bc63bf5c6606acf88f96d415314170076a7c4f5c351a"),
+    (2, "markdown", "27170b78e006101f71f420dd34916b9477bb1bc1261001d915dad97ac15bbf49"),
+    (2, "csv", "ce747369d0aacea88f0ed2721ea85b1b667f81ccb571dd866001e78e223f2dc9"),
+    (2, "json", "b5aa3216e2259af9131e3318436b5c04f7b7b6f16b53b7b46907059544fd62be"),
+    (1_000, "markdown", "9e5eb8e51768719fbba87854af1e5e4b710987ece9c655f49c93bf3b0539f827"),
+    (1_000, "csv", "6dc9b526d254db62331bb8be22907db2d0c0e7ae58aa04f09f4ad77c17f3ae10"),
+    (1_000, "json", "b4890450e0aebc2670de3825edc3139c2977a99d1356959c3ce4d5be90b32590"),
+    (1_000_000, "markdown",
+     "96e2c03b45b4c84914f6966a77974cb8e66b72d72c1e4a282a8c2a1ca3319773"),
+    (1_000_000, "csv", "bf007015ea157b546d25d8a164a501486012ba1d540f7504b29cc69e46bc2032"),
+    (1_000_000, "json", "cb4b295611b3f92de239b0d6dcf8f500f0f73c6adbf7c0105aa71735de4ae392"),
+])
+def test_model_query_bytes_pinned(n, fmt, sha256):
+    """Every rendering of the model query is byte-identical across versions
+    of the program, from the one-key trie to a million keys."""
+    assert hashlib.sha256(model_query(n, fmt).encode()).hexdigest() == sha256
+
+
 def test_render_report_formats():
     report = run_experiment(ExperimentConfig(sizes=(100,), trials=2, master_seed=1))
     md = render_report(report, "markdown")

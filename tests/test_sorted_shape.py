@@ -25,11 +25,7 @@ def oracle_shape(keys) -> TrieShape:
     for m in trie.leaf_metrics().values():
         depths[m.divergence_depth] = depths.get(m.divergence_depth, 0) + 1
         node_counts[m.node_count] = node_counts.get(m.node_count, 0) + 1
-    census = {
-        d: {"branches": lc.branches, "extensions": lc.extensions, "leaves": lc.leaves}
-        for d, lc in sorted(trie.level_census().items())
-    }
-    return TrieShape(depths, node_counts, census)
+    return TrieShape(depths, node_counts, trie.level_census())
 
 
 def kernel_shape(keys) -> TrieShape:
@@ -145,7 +141,7 @@ print(" ".join(m for m in sys.modules
 from pathlab import addrgen
 from pathlab.harness import ExperimentConfig, run_trial
 for mode in ("uniform", "crypto"):
-    addrgen.generate(addrgen.GeneratorConfig(mode=mode, seed=1, count=2))
+    addrgen.generate(2, 1, mode)
 before = set(sys.modules)
 run_trial(1_000, 0, ExperimentConfig(sizes=(1_000,), trials=1))
 run_trial(2, 0, ExperimentConfig(sizes=(20,), trials=1, mode="crypto"))

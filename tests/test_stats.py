@@ -172,12 +172,14 @@ def test_compare_perfect_match():
     dist = distribution(ModelParams(n=100))
     scale = 10**6
     counts = {k: round(p * scale) for k, p in dist.probabilities.items() if p >= 5e-7}
-    rows = compare(dist, PathLengthHistogram(counts))
+    rows = compare(dist.probabilities, PathLengthHistogram(counts))
     assert all(r.difference < 1e-6 for r in rows)
 
 
 def test_compare_against_published_100():
-    rows = compare(distribution(ModelParams(n=100)), published_histogram(100, 1000))
+    rows = compare(
+        distribution(ModelParams(n=100)).probabilities, published_histogram(100, 1000)
+    )
     worst = max(rows, key=lambda r: r.difference)
     assert worst.path_length == 3
     assert worst.difference == pytest.approx(0.021521, abs=1e-5)
@@ -185,7 +187,8 @@ def test_compare_against_published_100():
 
 def test_compare_against_published_100000():
     rows = compare(
-        distribution(ModelParams(n=100_000)), published_histogram(100_000, 10**6)
+        distribution(ModelParams(n=100_000)).probabilities,
+        published_histogram(100_000, 10**6),
     )
     worst = max(rows, key=lambda r: r.difference)
     assert worst.path_length == 5
@@ -194,7 +197,7 @@ def test_compare_against_published_100000():
 
 def test_compare_rows_sorted_and_thresholded():
     dist = distribution(ModelParams(n=100))
-    rows = compare(dist, PathLengthHistogram({2: 7, 3: 3}))
+    rows = compare(dist.probabilities, PathLengthHistogram({2: 7, 3: 3}))
     lengths = [r.path_length for r in rows]
     assert lengths == sorted(lengths)
     assert all(

@@ -83,9 +83,8 @@ def measure_kernel(size: int, repeats: int) -> dict:
 
     from pathlab import addrgen, trie
 
-    cfg = addrgen.GeneratorConfig(mode="uniform", seed=1, count=size)
     row = {}
-    row["generate_s"], keys = _median_time(lambda: addrgen.generate(cfg), repeats)
+    row["generate_s"], keys = _median_time(lambda: addrgen.generate(size, 1), repeats)
     row["sorted_shape_s"], _ = _median_time(lambda: trie.sorted_shape(keys), repeats)
     row["prefix_sort_s"], ordered = _median_time(
         lambda: _sorted_prefixes(trie, keys), repeats)
@@ -119,19 +118,18 @@ def measure_crypto(size: int, repeats: int) -> dict:
         scalars[:] = batch
         return np.zeros((len(batch), 64), dtype=np.uint8)
 
-    cfg = addrgen.GeneratorConfig(mode="crypto", seed=1, count=size)
     row = {}
     row["window_table_s"], _ = _median_time(cold_table, repeats)
     derive = addrgen.public_keys, addrgen.keccak256_rows
     addrgen.public_keys = drawn_only
     addrgen.keccak256_rows = lambda keys: np.zeros((len(keys), 32), dtype=np.uint8)
     try:
-        row["draw_s"], _ = _median_time(lambda: addrgen.generate(cfg), repeats)
+        row["draw_s"], _ = _median_time(lambda: addrgen.generate(size, 1, "crypto"), repeats)
     finally:
         addrgen.public_keys, addrgen.keccak256_rows = derive
     row["public_keys_s"], keys = _median_time(lambda: secp256k1.public_keys(scalars), repeats)
     row["keccak256_rows_s"], _ = _median_time(lambda: keccak.keccak256_rows(keys), repeats)
-    row["generate_s"], _ = _median_time(lambda: addrgen.generate(cfg), repeats)
+    row["generate_s"], _ = _median_time(lambda: addrgen.generate(size, 1, "crypto"), repeats)
     return _finish_row(row)
 
 
