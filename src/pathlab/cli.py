@@ -2,10 +2,12 @@
 
 Subcommands: ``model`` (analytic queries), ``simulate`` and ``validate``
 (one seeded Monte-Carlo experiment with model comparison and chi-square
-tests; ``simulate`` defaults to the JSON report, ``validate`` to
-markdown), ``tables`` (reference-table reproduction). ``crypto`` trials
-run on a pool of forked processes, one per available CPU, and ``uniform``
-trials serially (``pathlab.harness``); no option chooses this.
+tests, written to stdout or to ``--out``; ``simulate`` defaults to the
+JSON report, ``validate`` to markdown), ``tables`` (reference-table
+reproduction). ``--format`` takes the names in ``pathlab.report.FORMATS``:
+``md``, ``csv`` and ``json``. ``crypto`` trials run on a pool of forked
+processes, one per available CPU, and ``uniform`` trials serially
+(``pathlab.harness``); no option chooses this.
 ``simulate`` and ``validate`` still accept a hidden ``--jobs N`` and
 ignore it, so existing command lines keep working.
 
@@ -28,14 +30,12 @@ from .harness import (
     ExperimentConfig,
     run_experiment,
 )
-from .report import model_query, render_report, reproduce_tables
-
-_FORMAT_NAMES = {"md": "markdown", "csv": "csv", "json": "json"}
+from .report import FORMATS, model_query, render_report, reproduce_tables
 
 
 def _format_option(default: str):
     return click.option(
-        "--format", "fmt", type=click.Choice(sorted(_FORMAT_NAMES)),
+        "--format", "fmt", type=click.Choice(sorted(FORMATS)),
         default=default, show_default=True, help="Output format.",
     )
 
@@ -64,7 +64,7 @@ def cli():
 @_format_option("md")
 def model_cmd(n: int, fmt: str):
     """Print the analytic path-length distribution for N keys."""
-    click.echo(model_query(n, _FORMAT_NAMES[fmt]), nl=False)
+    click.echo(model_query(n, fmt), nl=False)
 
 
 def _experiment_options(fn):
@@ -97,13 +97,10 @@ def _experiment_command(name: str, default_fmt: str, help_text: str):
             sizes=sizes, trials=trials, master_seed=seed, mode=mode,
             allow_large=allow_large,
         )
-        if out:
-            # Opened before the trials run, so a path that cannot be written
-            # fails at once.
-            with open(out, "w") as fh:
-                fh.write(render_report(run_experiment(cfg), _FORMAT_NAMES[fmt]))
-        else:
-            click.echo(render_report(run_experiment(cfg), _FORMAT_NAMES[fmt]), nl=False)
+        # Opened before the trials run, so a path that cannot be written
+        # fails at once.
+        with click.open_file(out or "-", "w") as fh:
+            fh.write(render_report(run_experiment(cfg), fmt))
 
     return command
 

@@ -7,10 +7,10 @@ building it; the ``Trie`` stays as the paper's instrument and the
 oracle the kernel is tested against. The kernel sorts 8-byte key
 prefixes as integers, so a trial's memory is a small multiple of its
 keys' 20 bytes each: sizes above ``LARGE_SIZE_THRESHOLD`` need
-``allow_large``, and ``MAX_SIZE`` (10,000,000 keys, about 395 MB peak
-RSS) is the most one trial may hold. A size with too few pooled keys for
-two count chi-square bins is refused when :class:`ExperimentConfig` is
-built, before any trial runs or the command line opens ``--out``.
+``allow_large``, and ``MAX_SIZE`` (10,000,000 keys) is the most one
+trial may hold. A size with too few pooled keys for two count chi-square
+bins is refused when :class:`ExperimentConfig` is built, before any
+trial runs or the command line opens ``--out``.
 
 Reports are a pure function of the configuration. Each (size, trial)
 pair gets its own generator seed derived with splitmix64 from
@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 
 from . import addrgen, model, stats
@@ -74,9 +74,9 @@ class ExperimentConfig:
                 raise ConfigError(f"size {n} exceeds the supported maximum {MAX_SIZE}")
             if n > LARGE_SIZE_THRESHOLD and not self.allow_large:
                 raise ConfigError(
-                    f"size {n} exceeds {LARGE_SIZE_THRESHOLD}; pass allow_large "
-                    "to run it anyway (peak RSS about 75 MB at 1,000,000 keys and "
-                    "395 MB at 10,000,000)"
+                    f"size {n} exceeds {LARGE_SIZE_THRESHOLD}; set allow_large "
+                    "(--allow-large on the command line) to run it anyway; peak "
+                    "RSS is about 75 MB at 1,000,000 keys and 395 MB at 10,000,000"
                 )
             total = n * self.trials
             pmf = model.distribution(model.ModelParams(n=n)).probabilities
@@ -259,15 +259,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 # -- serialization --------------------------------------------------------
 
 
-def _chi_dict(result: stats.ChiSquareResult) -> dict:
-    return {
-        "statistic": result.statistic,
-        "dof": result.dof,
-        "p_value": result.p_value,
-        "merged_bins": result.merged_bins,
-    }
-
-
 def report_to_dict(report: ExperimentReport) -> dict:
     cfg = report.config
     return {
@@ -296,16 +287,11 @@ def report_to_dict(report: ExperimentReport) -> dict:
                     str(k): p for k, p in sorted(r.model_distribution.probabilities.items())
                 },
                 "comparison_rows": [
-                    {
-                        "path_length": row.path_length,
-                        "theoretical_prob": row.theoretical_prob,
-                        "experimental_prob": row.experimental_prob,
-                        "difference": row.difference,
-                    }
+                    dict(asdict(row), difference=row.difference)
                     for row in r.comparison_rows
                 ],
-                "chi_square_paper": _chi_dict(r.chi_square_paper),
-                "chi_square_counts": _chi_dict(r.chi_square_counts),
+                "chi_square_paper": asdict(r.chi_square_paper),
+                "chi_square_counts": asdict(r.chi_square_counts),
                 "level_census": {str(d): kinds for d, kinds in r.level_census.items()},
             }
             for r in report.results

@@ -45,28 +45,14 @@ def cdf(k: int, n: int) -> float:
     """P(path length <= k): the telescoped partial sum of :func:`pmf`.
 
     Equals (1 - (1/16)^k * 15/16)^n - (1/16)^n and is monotone
-    non-decreasing in k, unlike :func:`cdf_paper_literal`.
+    non-decreasing in k; the published CDF expression,
+    1 - (1 - (1/16)^k * 15/16)^n, decreases in k and is not a CDF.
     """
     if k < 1:
         raise ModelDomainError("path length k must be >= 1")
     if n < 1:
         raise ModelDomainError("key count n must be >= 1")
     return _no_match_power(k, n) - _no_match_power(0, n)
-
-
-def cdf_paper_literal(k: int, n: int) -> float:
-    """The published closed-form CDF expression, verbatim:
-
-        F(k) = 1 - (1 - (1/16)^k * 15/16)^n
-
-    Exposed for side-by-side comparison only. It decreases in k and is
-    therefore not actually a CDF; use :func:`cdf` for real work.
-    """
-    if k < 1:
-        raise ModelDomainError("path length k must be >= 1")
-    if n < 1:
-        raise ModelDomainError("key count n must be >= 1")
-    return 1.0 - _no_match_power(k, n)
 
 
 def expected_path_length(n: int) -> float:
@@ -86,15 +72,6 @@ def asymptotic_ratio(n: int) -> float:
     return expected_path_length(n) / (math.log(n) / math.log(16))
 
 
-def prefix_share_probability(k: int) -> float:
-    """Probability that two random keys share a prefix of length k:
-    16^-k. Doubles as the probability of any specific k-nibble sequence.
-    """
-    if k < 0:
-        raise ModelDomainError("prefix length must be >= 0")
-    return 16.0 ** -k
-
-
 @dataclass(frozen=True)
 class ModelParams:
     n: int
@@ -106,7 +83,6 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class ModelDistribution:
-    n: int
     probabilities: dict[int, float] = field(repr=False)  # k -> pmf(k, n)
 
     @property
@@ -118,4 +94,4 @@ class ModelDistribution:
 def distribution(params: ModelParams) -> ModelDistribution:
     """Evaluate the PMF over k in [1, MAX_PATH_LENGTH]."""
     probs = {k: pmf(k, params.n) for k in range(1, MAX_PATH_LENGTH + 1)}
-    return ModelDistribution(n=params.n, probabilities=probs)
+    return ModelDistribution(probabilities=probs)

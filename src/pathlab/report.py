@@ -1,8 +1,10 @@
 """Rendering of model queries and experiment reports, plus the
 reference-table reproduction path.
 
-Probabilities render at six decimal places and averages at two, so the
-generated tables diff cleanly against the published reference tables.
+``FORMATS`` names the three renderings, ``md`` (markdown), ``csv`` and
+``json``; every table goes through one writer, ``_table``. Probabilities
+render at six decimal places and averages at two, so the generated
+tables diff cleanly against the published reference tables.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ from .harness import (
     run_experiment,
 )
 
-FORMATS = ("markdown", "csv", "json")
-
-DISTRIBUTION_CSV_HEADER = "path_length,theoretical_prob,experimental_prob,difference"
+FORMATS = ("md", "csv", "json")
 
 
 class FormatError(ValueError):
@@ -42,6 +42,22 @@ def _f2(x: float) -> str:
     return f"{x:.2f}"
 
 
+def _table(columns, rows, fmt: str) -> str:
+    """A markdown (``md``) or CSV table without its final newline.
+
+    ``columns`` holds a (markdown title, CSV name) pair per column and
+    ``rows`` the cells, already formatted.
+    """
+    if fmt == "csv":
+        lines = [",".join(name for _, name in columns)]
+        lines += [",".join(row) for row in rows]
+    else:
+        lines = ["| " + " | ".join(title for title, _ in columns) + " |",
+                 "|" + "---|" * len(columns)]
+        lines += ["| " + " | ".join(row) + " |" for row in rows]
+    return "\n".join(lines)
+
+
 # -- model query ----------------------------------------------------------
 
 # No commas: the note is also a CSV value.
@@ -52,7 +68,7 @@ PUBLISHED_FORMULA_NOTE = (
 )
 
 
-def model_query(n: int, fmt: str = "markdown") -> str:
+def model_query(n: int, fmt: str = "md") -> str:
     """Render the analytic distribution and summary statistics for n keys."""
     _check_format(fmt)
     dist = model.distribution(model.ModelParams(n=n))
@@ -77,12 +93,13 @@ def model_query(n: int, fmt: str = "markdown") -> str:
         (k, p) for k, p in sorted(dist.probabilities.items())
         if p >= stats.DISPLAY_THRESHOLD
     ] or [(dist.mode, dist.probabilities[dist.mode])]
+    table = _table(
+        [("Path Length", "path_length"), ("Probability", "probability")],
+        [(str(k), _f6(p)) for k, p in visible], fmt,
+    )
 
     if fmt == "csv":
-        lines = ["path_length,probability"]
-        lines += [f"{k},{_f6(p)}" for k, p in visible]
-        lines.append("")
-        lines.append("metric,value")
+        lines = [table, "", "metric,value"]
         lines.append(f"expected_path_length,{_f6(expected)}")
         lines.append(f"mode,{dist.mode}")
         if ratio is not None:
@@ -91,11 +108,7 @@ def model_query(n: int, fmt: str = "markdown") -> str:
         lines.append(f"note,{PUBLISHED_FORMULA_NOTE}")
         return "\n".join(lines) + "\n"
 
-    lines = [f"# Path-length model for n = {n}", ""]
-    lines.append("| Path Length | Probability |")
-    lines.append("|---|---|")
-    lines += [f"| {k} | {_f6(p)} |" for k, p in visible]
-    lines.append("")
+    lines = [f"# Path-length model for n = {n}", "", table, ""]
     lines.append(f"- Expected path length: {_f6(expected)}")
     lines.append(f"- Mode: {dist.mode}")
     if ratio is not None:
@@ -108,28 +121,23 @@ def model_query(n: int, fmt: str = "markdown") -> str:
 # -- comparison tables ----------------------------------------------------
 
 
-def _comparison_csv(rows) -> str:
-    lines = [DISTRIBUTION_CSV_HEADER]
-    lines += [
-        f"{r.path_length},{_f6(r.theoretical_prob)},"
-        f"{_f6(r.experimental_prob)},{_f6(r.difference)}"
+_COMPARISON_COLUMNS = [
+    ("Path Length", "path_length"),
+    ("Theoretical Prob.", "theoretical_prob"),
+    ("Experimental Prob.", "experimental_prob"),
+    ("Difference", "difference"),
+]
+
+
+def _comparison_table(rows, fmt: str) -> str:
+    return _table(_COMPARISON_COLUMNS, [
+        (str(r.path_length), _f6(r.theoretical_prob), _f6(r.experimental_prob),
+         _f6(r.difference))
         for r in rows
-    ]
-    return "\n".join(lines) + "\n"
+    ], fmt)
 
 
-def _comparison_markdown(rows) -> str:
-    lines = ["| Path Length | Theoretical Prob. | Experimental Prob. | Difference |"]
-    lines.append("|---|---|---|---|")
-    lines += [
-        f"| {r.path_length} | {_f6(r.theoretical_prob)} | "
-        f"{_f6(r.experimental_prob)} | {_f6(r.difference)} |"
-        for r in rows
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def render_report(report: ExperimentReport, fmt: str = "markdown") -> str:
+def render_report(report: ExperimentReport, fmt: str = "md") -> str:
     """Render an experiment report in the requested format."""
     _check_format(fmt)
     if fmt == "json":
@@ -139,7 +147,7 @@ def render_report(report: ExperimentReport, fmt: str = "markdown") -> str:
         parts = []
         for r in report.results:
             parts.append(f"# size={r.size}")
-            parts.append(_comparison_csv(r.comparison_rows).rstrip("\n"))
+            parts.append(_comparison_table(r.comparison_rows, fmt))
             parts.append(
                 f"# avg_divergence_depth={_f2(r.avg_divergence_depth)}"
                 f" avg_node_count={_f2(r.avg_node_count)}"
@@ -160,7 +168,7 @@ def render_report(report: ExperimentReport, fmt: str = "markdown") -> str:
     for r in report.results:
         lines.append(f"## {r.size} addresses")
         lines.append("")
-        lines.append(_comparison_markdown(r.comparison_rows).rstrip("\n"))
+        lines.append(_comparison_table(r.comparison_rows, fmt))
         lines.append("")
         lines.append(
             f"- Average divergence depth: {_f2(r.avg_divergence_depth)} "
@@ -204,7 +212,7 @@ def reproduce_tables(out_dir: str | Path, master_seed: int = 0,
 
     for i, r in enumerate(report.results, start=1):
         path = out / f"table{i}_path_lengths_{r.size}.csv"
-        path.write_text(_comparison_csv(r.table_rows))
+        path.write_text(_comparison_table(r.table_rows, "csv") + "\n")
         paths.append(path)
 
     lines = ["number_of_addresses,theoretical_avg,experimental_avg,difference"]

@@ -9,11 +9,9 @@ from pathlab.model import (
     ModelParams,
     asymptotic_ratio,
     cdf,
-    cdf_paper_literal,
     distribution,
     expected_path_length,
     pmf,
-    prefix_share_probability,
 )
 
 GOLDEN_TOL = 5e-7
@@ -69,22 +67,6 @@ def test_cdf_monotone():
         assert values == sorted(values)
 
 
-def test_cdf_paper_literal_limit():
-    assert cdf_paper_literal(40, 100) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_cdf_paper_literal_at_one():
-    expected = 1 - (1 - 15 / 256) ** 100
-    assert cdf_paper_literal(1, 100) == pytest.approx(expected, rel=1e-12)
-    assert cdf_paper_literal(1, 100) == pytest.approx(0.99762, abs=1e-5)
-
-
-def test_cdf_paper_literal_is_decreasing():
-    values = [cdf_paper_literal(k, 100) for k in range(1, 11)]
-    assert values == sorted(values, reverse=True)
-    assert values[0] > values[-1]
-
-
 def test_asymptotic_ratio_values():
     assert asymptotic_ratio(10**6) == pytest.approx(
         5.649078 / (math.log(10**6) / math.log(16)), abs=1e-6
@@ -100,14 +82,6 @@ def test_asymptotic_ratio_decreasing_toward_limit():
     assert asymptotic_ratio(10**12) < asymptotic_ratio(10**6) < asymptotic_ratio(10**2)
     with pytest.raises(ModelDomainError):
         asymptotic_ratio(1)
-
-
-def test_prefix_share_probability():
-    assert prefix_share_probability(0) == 1.0
-    assert prefix_share_probability(1) == 1 / 16
-    assert prefix_share_probability(3) == 1 / 4096
-    with pytest.raises(ModelDomainError):
-        prefix_share_probability(-1)
 
 
 @pytest.mark.parametrize(

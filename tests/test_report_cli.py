@@ -5,10 +5,10 @@ import pytest
 from click.testing import CliRunner
 
 from pathlab import cli as cli_module
+from pathlab import harness
 from pathlab.cli import cli, main
 from pathlab.harness import ExperimentConfig, report_to_json, run_experiment
 from pathlab.report import (
-    DISTRIBUTION_CSV_HEADER,
     PUBLISHED_FORMULA_NOTE,
     FormatError,
     model_query,
@@ -18,7 +18,7 @@ from pathlab.report import (
 
 
 def test_model_query_ethereum_scale():
-    text = model_query(300_000_000, fmt="markdown")
+    text = model_query(300_000_000, fmt="md")
     assert "7.717012" in text
     assert "| 8 | 0.585884 |" in text
 
@@ -30,7 +30,7 @@ def test_model_query_large_trie():
 
 
 def test_model_query_boundary_n1():
-    text = model_query(1, fmt="markdown")
+    text = model_query(1, fmt="md")
     assert "exact per-leaf law" in text
     payload = json.loads(model_query(1, fmt="json"))
     assert payload["asymptotic_ratio"] is None
@@ -44,22 +44,30 @@ def test_model_query_small_table_values():
         assert f"{k},{p}" in text
 
 
-def test_model_query_unknown_format():
+@pytest.mark.parametrize("render", [
+    lambda fmt: model_query(100, fmt),
+    lambda fmt: render_report(
+        run_experiment(ExperimentConfig(sizes=(100,), trials=2)), fmt),
+], ids=["model_query", "render_report"])
+@pytest.mark.parametrize("fmt", ["xml", "markdown"])
+def test_model_query_unknown_format(render, fmt):
+    """Both renderers refuse a name outside ``FORMATS``, the long name
+    ``markdown`` included: ``md`` is the only name of that format."""
     with pytest.raises(FormatError):
-        model_query(100, fmt="xml")
+        render(fmt)
 
 
 @pytest.mark.parametrize("n, fmt, sha256", [
-    (1, "markdown", "10822a346fbe536507f1222099ca061e926d3af93df084a59eed128579881b0f"),
+    (1, "md", "10822a346fbe536507f1222099ca061e926d3af93df084a59eed128579881b0f"),
     (1, "csv", "eac4bb80e9b7014406c6df649c6bd41fc916ea412b13c275f9d82b66b895f782"),
     (1, "json", "24045c02600b7889adb0bc63bf5c6606acf88f96d415314170076a7c4f5c351a"),
-    (2, "markdown", "27170b78e006101f71f420dd34916b9477bb1bc1261001d915dad97ac15bbf49"),
+    (2, "md", "27170b78e006101f71f420dd34916b9477bb1bc1261001d915dad97ac15bbf49"),
     (2, "csv", "ce747369d0aacea88f0ed2721ea85b1b667f81ccb571dd866001e78e223f2dc9"),
     (2, "json", "b5aa3216e2259af9131e3318436b5c04f7b7b6f16b53b7b46907059544fd62be"),
-    (1_000, "markdown", "9e5eb8e51768719fbba87854af1e5e4b710987ece9c655f49c93bf3b0539f827"),
+    (1_000, "md", "9e5eb8e51768719fbba87854af1e5e4b710987ece9c655f49c93bf3b0539f827"),
     (1_000, "csv", "6dc9b526d254db62331bb8be22907db2d0c0e7ae58aa04f09f4ad77c17f3ae10"),
     (1_000, "json", "b4890450e0aebc2670de3825edc3139c2977a99d1356959c3ce4d5be90b32590"),
-    (1_000_000, "markdown",
+    (1_000_000, "md",
      "96e2c03b45b4c84914f6966a77974cb8e66b72d72c1e4a282a8c2a1ca3319773"),
     (1_000_000, "csv", "bf007015ea157b546d25d8a164a501486012ba1d540f7504b29cc69e46bc2032"),
     (1_000_000, "json", "cb4b295611b3f92de239b0d6dcf8f500f0f73c6adbf7c0105aa71735de4ae392"),
@@ -72,16 +80,16 @@ def test_model_query_bytes_pinned(n, fmt, sha256):
 
 def test_render_report_formats():
     report = run_experiment(ExperimentConfig(sizes=(100,), trials=2, master_seed=1))
-    md = render_report(report, "markdown")
+    md = render_report(report, "md")
     assert "| Path Length | Theoretical Prob. | Experimental Prob. | Difference |" in md
     csv_text = render_report(report, "csv")
-    assert DISTRIBUTION_CSV_HEADER in csv_text
+    assert "path_length,theoretical_prob,experimental_prob,difference" in csv_text
     parsed = json.loads(render_report(report, "json"))
     assert parsed["results"][0]["size"] == 100
 
 
 @pytest.mark.parametrize("fmt, sha256", [
-    ("markdown", "aefa6a3b383928f471ef128a707cc3691e612129972c75ced9711ab24dce0435"),
+    ("md", "aefa6a3b383928f471ef128a707cc3691e612129972c75ced9711ab24dce0435"),
     ("csv", "063e1fbec9cc0c43f65e8a2fc640db187eb77c1a900d054fc930a040521dfd45"),
 ])
 def test_render_report_bytes_pinned(fmt, sha256):
@@ -105,7 +113,9 @@ def test_reproduce_tables_writes_six_files(tmp_path):
         "table6_chi_square.csv",
     ]
     table1 = (tmp_path / "tables" / "table1_path_lengths_100.csv").read_text()
-    assert table1.splitlines()[0] == DISTRIBUTION_CSV_HEADER
+    assert table1.splitlines()[0] == (
+        "path_length,theoretical_prob,experimental_prob,difference"
+    )
     assert table1.splitlines()[1].startswith("1,0.002386,")
 
 
@@ -220,12 +230,31 @@ def test_cli_tables(tmp_path):
     assert len(list(out_dir.glob("*.csv"))) == 6
 
 
-def test_cli_large_size_warns():
-    result = CliRunner().invoke(
-        cli,
-        ["simulate", "--sizes", "100", "--trials", "1"],
-    )
-    assert "warning" not in result.output
+def test_cli_large_size_refusal_names_the_flag(monkeypatch, capsys):
+    """A size above the threshold is refused before any trial runs, and the
+    message names the command-line flag that permits it."""
+    calls = []
+
+    def fail(*args):
+        calls.append(args)
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "run_trial", fail)
+    assert main(["validate", "--sizes", "200000", "--trials", "1"]) == 1
+    assert "--allow-large" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_cli_stdout_and_out_file_get_the_same_bytes(tmp_path, capsys, fmt):
+    argv = ["validate", "--sizes", "100,1000", "--trials", "2", "--seed", "1",
+            "--format", fmt]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / f"report.{fmt}"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == stdout
 
 
 @pytest.mark.parametrize("sizes, trials, mode, jobs, allow_large", [
