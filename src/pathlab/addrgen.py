@@ -1,13 +1,17 @@
 """Deterministic, seedable generation of random 20-byte addresses.
 
-``generate(count, seed=0, mode="uniform")`` returns ``count`` addresses
-as a ``(count, 20)`` uint8 array in one of the two ``MODES``:
+``generate(count, seed=0, mode="uniform", start=0)`` returns ``count``
+addresses as a ``(count, 20)`` uint8 array in one of the two ``MODES``:
 
 * ``uniform`` (default): draw 20 octets straight from a seeded PCG64
   stream. PCG64 has 128-bit state and passes the standard statistical
   batteries (TestU01 BigCrush, PractRand), which is what matters for
   the path-length statistics; cryptographic unpredictability is not
-  needed for reproducible experiments.
+  needed for reproducible experiments. ``start`` picks keys
+  ``[start, start + count)`` of the seed's stream, reached with
+  ``PCG64.advance`` without drawing the keys before it, so a large key
+  set can be drawn a chunk at a time and drawn again, in the same bytes,
+  without ever being held whole.
 * ``crypto``: the full derivation pipeline — a seeded random valid
   secp256k1 private scalar, scalar-multiplied onto the generator point,
   with the address taken as the last 20 bytes of the Keccak-256 hash of
@@ -64,25 +68,37 @@ def crypto_derive(private_key: bytes | int) -> bytes:
     return keccak256(public_keys([private_key]).tobytes())[-ADDRESS_BYTES:]
 
 
-def generate(count: int, seed: int = 0, mode: str = "uniform") -> np.ndarray:
+def generate(count: int, seed: int = 0, mode: str = "uniform",
+             start: int = 0) -> np.ndarray:
     """Produce ``count`` addresses as a ``(count, 20)`` uint8 array, one
-    address per row; bit-exact for identical arguments."""
+    address per row; bit-exact for identical arguments.
+
+    The rows are addresses ``[start, start + count)`` of the seed's
+    stream: ``generate(c, s, start=k)`` equals ``generate(k + c, s)[k:]``.
+    Only ``uniform`` can start past 0.
+    """
     if mode not in MODES:
         raise ValueError(f"unknown generator mode {mode!r}")
     if count < 0:
         raise ValueError("count must be non-negative")
+    if start < 0 or (start and mode != "uniform"):
+        raise ValueError(f"{mode} addresses cannot start at {start}")
     if mode == "uniform":
         # The bytes ``integers(0, 256, (count, 20), uint8)`` gives on this
         # stream: numpy fills full-range uint8 from 32-bit draws, low byte
-        # first, and PCG64 yields each 64-bit word's low half first.
+        # first, and PCG64 yields each 64-bit word's low half first. An
+        # address is 2.5 words, so an odd ``start`` begins 4 bytes into one.
+        words_before, offset = divmod(start * ADDRESS_BYTES, 8)
         nbytes = count * ADDRESS_BYTES
-        words = np.random.PCG64(seed).random_raw(-(-nbytes // 8))
+        bitgen = np.random.PCG64(seed)
+        bitgen.advance(words_before)
+        words = bitgen.random_raw(-(-(offset + nbytes) // 8))
         octets = words.astype("<u8", copy=False).view(np.uint8)
-        return octets[:nbytes].reshape(count, ADDRESS_BYTES)
+        return octets[offset:offset + nbytes].reshape(count, ADDRESS_BYTES)
     rng = np.random.default_rng(np.random.PCG64(seed))
     addresses = np.empty((count, ADDRESS_BYTES), dtype=np.uint8)
-    for start in range(0, count, CRYPTO_BATCH):
-        rows = addresses[start : start + CRYPTO_BATCH]
+    for first in range(0, count, CRYPTO_BATCH):
+        rows = addresses[first : first + CRYPTO_BATCH]
         scalars = []
         while len(scalars) < len(rows):
             # rejection keeps the scalars uniform over the group; the PCG64

@@ -159,7 +159,8 @@ def render_report(report: ExperimentReport, fmt: str = "md") -> str:
                 " chi_square_counts="
                 f"{_f6(r.chi_square_counts.statistic)}"
                 f" dof={r.chi_square_counts.dof}"
-                f" p={r.chi_square_counts.p_value:.4f}"
+                f" p={r.chi_square_counts.p_value:.6e}"
+                f" [{r.chi_square_counts.merged_bins}]"
             )
             parts.append("")
         return "\n".join(parts)

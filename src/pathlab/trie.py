@@ -11,19 +11,21 @@ value slots stay empty; the slot exists only for structural fidelity.
 ``Trie._walk`` is the one traversal of a whole trie: ``leaf_metrics``,
 ``level_census`` and :func:`check_invariants` are loops over it.
 
-:func:`sorted_shape` measures the same depths, node counts and census
-for a whole key set without building the trie; :class:`Trie` is the
-paper's instrument and the oracle the kernel is tested against. Both
-give the census in one format: nibble depth -> ``{"branches": …,
-"extensions": …, "leaves": …}`` (``CENSUS_KINDS``), ascending. The
-kernel sorts each key's first 8 bytes as an unsigned 64-bit integer and
-turns to the full 20-byte keys only for the rare groups whose prefixes
-tie, so its temporaries stay near the size of the keys themselves.
+:func:`streamed_shape` measures the same depths, node counts and
+census for a key set without building the trie, and without holding the
+keys: it reads them chunk by chunk and keeps each key's first 8 bytes,
+sorted as unsigned 64-bit integers, turning to full 20-byte keys only for
+the rare groups whose prefixes tie. :func:`sorted_shape` is its call on
+one key array. :class:`Trie` is the paper's instrument and the oracle the
+kernel is tested against. Both give the census in one format: nibble
+depth -> ``{"branches": …, "extensions": …, "leaves": …}``
+(``CENSUS_KINDS``), ascending.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from collections.abc import Iterable
 from itertools import zip_longest
 from typing import NamedTuple
 
@@ -274,19 +276,29 @@ class TrieShape(NamedTuple):
     census: dict[int, dict[str, int]]
 
 
-def _histogram(values: np.ndarray) -> dict[int, int]:
-    return {k: c for k, c in enumerate(np.bincount(values).tolist()) if c}
-
-
 def sorted_shape(keys: np.ndarray) -> TrieShape:
-    """Measure the trie of ``keys``, an ``(n, 20)`` uint8 array, from the
+    """Measure the trie of ``keys``, an ``(n, 20)`` uint8 array: the one-chunk
+    call of :func:`streamed_shape`."""
+    keys = np.ascontiguousarray(keys, dtype=np.uint8)
+    if keys.ndim != 2 or keys.shape[1] != ADDRESS_BYTES:
+        raise ValueError(f"keys must be an (n, {ADDRESS_BYTES}) array, got {keys.shape}")
+    return streamed_shape([keys], len(keys))
+
+
+def streamed_shape(chunks: Iterable[np.ndarray], count: int) -> TrieShape:
+    """Measure the trie of ``count`` keys, given as ``chunks``: ``(m, 20)``
+    uint8 arrays that together hold the keys, in any order, from the
     longest common prefixes (LCPs) of lexicographically adjacent keys.
 
-    Keys are put in order by their first 8 bytes as unsigned 64-bit
-    integers; the nibble LCP of two adjacent prefixes is the count of
+    The kernel keeps each key's first 8 bytes, an unsigned 64-bit integer,
+    and no full key: it fills one prefix array a chunk at a time and sorts
+    it, and the nibble LCP of two adjacent prefixes is the count of
     leading zero nibbles of their xor. Adjacent prefixes that tie (an LCP
     of 16 nibbles or more, about n**2 / 2 * 16**-16 pairs for random keys)
-    are resolved on the full keys of the tied groups alone.
+    are resolved on full keys, from a second pass over ``chunks`` that
+    keeps only the rows whose prefix is tied. So ``chunks`` must be
+    re-iterable and give the same keys each time: a list of arrays, or an
+    object that draws them again.
 
     In sorted order a key's leaf hangs one nibble below its deepest
     divergence from either neighbour, so its divergence depth is
@@ -301,20 +313,23 @@ def sorted_shape(keys: np.ndarray) -> TrieShape:
     that is below ``d - 1``, an extension starts one nibble under the
     parent and leads to the branch.
 
-    Duplicate keys count once, as :meth:`Trie.insert` overwrites them.
+    Memory: 9 bytes a key while the prefixes are sorted and their LCPs
+    taken, then 3 bytes a key for the sweep, plus blocks of ``_BLOCK``
+    entries. Duplicate keys count once, as :meth:`Trie.insert` overwrites
+    them.
     """
-    keys = np.ascontiguousarray(keys, dtype=np.uint8)
-    if keys.ndim != 2 or keys.shape[1] != ADDRESS_BYTES:
-        raise ValueError(f"keys must be an (n, {ADDRESS_BYTES}) array, got {keys.shape}")
-    if not len(keys):
+    if not count:
         return TrieShape({}, {}, {})
-    ordered = _prefixes(keys)
+    ordered = _fill_prefixes(chunks, count)
     ordered.sort()
-    lcp = _adjacent_lcps(keys, ordered)
+    padded, tie = _prefix_lcps(ordered)
+    tied = ordered[tie]
     # The sweep does not read the prefixes; alive, their 8 bytes a key
-    # would add to the sweep's peak memory.
+    # would be most of its peak memory.
     del ordered
-    return _shape_from_lcps(lcp)
+    if len(tie):
+        padded = _resolve_ties(chunks, padded, tie, tied)
+    return _sweep(padded)
 
 
 PREFIX_BYTES = 8
@@ -322,27 +337,62 @@ PREFIX_NIBBLES = 2 * PREFIX_BYTES
 # 16**0 .. 16**15: an integer is at least as many of these as it has hex
 # digits (none for zero).
 _NIBBLE_POWERS = np.array([16**k for k in range(PREFIX_NIBBLES)], np.uint64)
-# Values per block of leading_zero_nibbles, small enough that its sixteen
-# passes over a block read it from cache: about twice as fast as whole-
-# array passes at 1e7 values.
-_LZN_BLOCK = 1 << 16
+# Entries per block of the kernel's per-key passes. A block's temporaries
+# stay in cache (the sixteen passes of leading_zero_nibbles are about twice
+# as fast over blocks as over whole arrays at 1e7 values) and add a fixed
+# amount, not bytes a key, to the kernel's peak memory.
+_BLOCK = 1 << 16
+
+
+def _blocks(length: int):
+    """``(lo, hi)`` bounds of the ``_BLOCK``-entry blocks of ``length`` entries."""
+    return ((lo, min(lo + _BLOCK, length)) for lo in range(0, length, _BLOCK))
 
 
 def leading_zero_nibbles(x: np.ndarray) -> np.ndarray:
     """Exact count of leading zero nibbles of each uint64 in ``x`` (16 for
     zero), from integer comparisons only."""
     zeros = np.full(len(x), PREFIX_NIBBLES, np.int8)
-    for i in range(0, len(x), _LZN_BLOCK):
-        block, out = x[i:i + _LZN_BLOCK], zeros[i:i + _LZN_BLOCK]
-        for power in _NIBBLE_POWERS:
-            np.subtract(out, block >= power, out=out)
+    for power in _NIBBLE_POWERS:
+        np.subtract(zeros, x >= power, out=zeros)
     return zeros
 
 
 def _prefixes(keys: np.ndarray) -> np.ndarray:
     """Each key's first 8 bytes as an unsigned integer, read big-endian so
-    that integer order is the keys' byte order."""
-    return keys[:, :PREFIX_BYTES].view(">u8")[:, 0].astype(np.uint64)
+    that integer order is the keys' byte order: a view of ``keys``."""
+    return keys[:, :PREFIX_BYTES].view(">u8")[:, 0]
+
+
+def _fill_prefixes(chunks: Iterable[np.ndarray], count: int) -> np.ndarray:
+    """The prefixes of the ``count`` keys in ``chunks``, in chunk order."""
+    prefixes = np.empty(count, np.uint64)
+    filled = 0
+    for chunk in chunks:
+        prefixes[filled:filled + len(chunk)] = _prefixes(chunk)
+        filled += len(chunk)
+        del chunk  # not kept alive while the source draws the next one
+    if filled != count:
+        raise ValueError(f"chunks hold {filled} keys, not {count}")
+    return prefixes
+
+
+def _prefix_lcps(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nibble LCPs of adjacent sorted prefixes, taken a block at a time.
+
+    Returns ``padded``, whose entry ``j`` is the LCP between keys ``j - 1``
+    and ``j`` (-1 past either end), and the ``k`` of the adjacent pairs
+    ``(k, k + 1)`` whose prefixes tie: their LCP is 16 here and at least 16
+    on the full keys.
+    """
+    n = len(ordered)
+    padded = np.full(n + 1, -1, np.int8)
+    ties = [np.empty(0, np.intp)]
+    for i, j in _blocks(n - 1):
+        xor = ordered[i + 1:j + 1] ^ ordered[i:j]
+        padded[i + 1:j + 1] = leading_zero_nibbles(xor)
+        ties.append(np.flatnonzero(xor == 0) + i)
+    return padded, np.concatenate(ties)
 
 
 def _full_key_lcps(rows: np.ndarray) -> np.ndarray:
@@ -356,81 +406,104 @@ def _full_key_lcps(rows: np.ndarray) -> np.ndarray:
     return lcp
 
 
-def _adjacent_lcps(keys: np.ndarray, ordered: np.ndarray) -> np.ndarray:
-    """Nibble LCPs of the adjacent distinct keys in sorted order, given
-    ``ordered``, the keys' sorted prefixes.
+def _resolve_ties(chunks: Iterable[np.ndarray], padded: np.ndarray,
+                  tie: np.ndarray, tied: np.ndarray) -> np.ndarray:
+    """``padded`` with the LCPs at the tied positions ``tie`` (whose sorted
+    prefixes are ``tied``) taken on the full keys, and without the LCPs of
+    equal keys, so that each counts once.
 
-    Adjacent prefixes that differ give the LCP by themselves. Prefixes
-    that tie mean an LCP of at least 16 nibbles; only the keys of tied
-    prefix groups are sorted on all 20 bytes to measure it. Equal keys
-    give no LCP, so each counts once.
+    Only the rows whose prefix is one of the tied ones are kept from
+    ``chunks``. In full-key order each tied group is a run of them, and its
+    adjacent pairs are the ties in order, the only adjacent rows sharing 16
+    nibbles or more.
     """
-    xor = ordered[1:] ^ ordered[:-1]
-    tie = np.flatnonzero(xor == 0)
-    lcp = leading_zero_nibbles(xor)
-    if not len(tie):
-        return lcp
-    # Rows whose prefix is one of the tied ones, in full-key order: each
-    # tied group is a run there, and its adjacent pairs are the ties in
-    # order, the only adjacent rows sharing 16 nibbles or more.
-    values = ordered[tie]
-    prefixes = _prefixes(keys)
-    at = np.searchsorted(values, prefixes).clip(max=len(values) - 1)
-    rows = np.sort(keys[values[at] == prefixes].view(f"S{ADDRESS_BYTES}").ravel())
+    rows = []
+    for chunk in chunks:
+        prefixes = _prefixes(chunk)
+        at = np.searchsorted(tied, prefixes).clip(max=len(tied) - 1)
+        rows.append(chunk[tied[at] == prefixes])
+    rows = np.sort(np.concatenate(rows).view(f"S{ADDRESS_BYTES}").ravel())
     full = _full_key_lcps(rows.view(np.uint8).reshape(-1, ADDRESS_BYTES))
-    lcp[tie] = full[full >= PREFIX_NIBBLES]
-    return lcp[lcp != ADDRESS_NIBBLES]
+    padded[tie + 1] = full[full >= PREFIX_NIBBLES]
+    return padded[padded != ADDRESS_NIBBLES]
+
+
+def _counts(blocks) -> list[int]:
+    """How often each value 0..41 occurs in ``blocks``, int8 arrays; counted
+    a block at a time, so that bincount's cast to the platform integer
+    stays block-sized."""
+    counts = np.zeros(ADDRESS_NIBBLES + 2, np.int64)
+    for block in blocks:
+        counts += np.bincount(block, minlength=len(counts))
+    return counts.tolist()
+
+
+def _histogram(counts: list[int]) -> dict[int, int]:
+    return {k: c for k, c in enumerate(counts) if c}
 
 
 def _branch_ranges(padded: np.ndarray, reach: np.ndarray, d: int):
-    """Key ranges ``[start, stop)`` of the branches at depth ``d``.
+    """Yield the key ranges ``[start, stop)`` of the branches at depth
+    ``d``, a block of positions at a time: those that close in the block.
 
     Only the positions whose LCP is at most ``d`` and which sit at or next
     to an LCP of at least ``d`` are visited: the boundaries (LCP < d) of
     runs of two or more keys and the separators (LCP == d) inside them. A
     boundary followed by a separator opens a branch; a separator followed
-    by a boundary closes it.
+    by a boundary closes it. Each block's positions are led by the last
+    one visited before them, and a branch still open at a block's end is
+    carried into the next: branches at one depth are disjoint, so the
+    ``i``-th close pairs with the ``i``-th open.
     """
-    at = np.flatnonzero((padded <= d) & (reach >= d))
-    split = padded[at] == d
-    return at[:-1][~split[:-1] & split[1:]], at[1:][split[:-1] & ~split[1:]]
+    at = opened = np.empty(0, np.intp)
+    for lo, hi in _blocks(len(padded)):
+        here = ((padded[lo:hi] <= d) & (reach[lo:hi] >= d)).nonzero()[0]
+        here += lo
+        at = np.concatenate((at[-1:], here)) if len(at) else here
+        split = padded[at] == d
+        opens = at[:-1][~split[:-1] & split[1:]]
+        opened = np.concatenate((opened, opens)) if len(opened) else opens
+        stop = at[1:][split[:-1] & ~split[1:]]
+        yield opened[:len(stop)], stop
+        opened = opened[len(stop):]
 
 
-def _shape_from_lcps(lcp: np.ndarray) -> TrieShape:
+def _sweep(padded: np.ndarray) -> TrieShape:
     """The lcp-interval sweep: read the trie off adjacent distinct keys'
-    LCPs (see :func:`sorted_shape`)."""
-    n = len(lcp) + 1
-    # padded[j] is the LCP between keys j - 1 and j, -1 past either end.
-    padded = np.full(n + 1, -1, np.int8)
-    padded[1:-1] = lcp
-    depth = np.maximum(padded[:-1], padded[1:]) + 1
+    LCPs, ``padded`` as :func:`_prefix_lcps` gives them (see
+    :func:`streamed_shape`)."""
+    n = len(padded) - 1
+    leaves = _counts(np.maximum(padded[lo:hi], padded[lo + 1:hi + 1]) + 1
+                     for lo, hi in _blocks(n))
     # The largest LCP at or next to each position: a position bounds a run
     # of two or more keys at depth d only if this reaches d.
     reach = padded.copy()
     np.maximum(reach[1:], padded[:-1], out=reach[1:])
     np.maximum(reach[:-1], padded[1:], out=reach[:-1])
 
-    top = int(lcp.max(initial=-1)) + 1
+    top = int(padded.max()) + 1
     branches = []
     extensions = np.zeros(top, np.int64)
     # Nodes above each key's leaf, as +w at the first key of a branch's
     # range and -w past its last: w = 1, or 2 when an extension leads to it.
     nodes_above = np.zeros(n + 1, np.int8)
     for d in range(top):
-        start, stop = _branch_ranges(padded, reach, d)
-        parent = np.maximum(padded[start], padded[stop])
-        extended = parent < d - 1
-        branches.append(len(start))
-        extensions += np.bincount(parent[extended] + 1, minlength=top)
-        weight = extended.astype(np.int8) + 1
-        nodes_above[start] += weight
-        nodes_above[stop] -= weight
-    node_counts = np.cumsum(nodes_above[:-1], dtype=np.int8) + 1
+        branches.append(0)
+        for start, stop in _branch_ranges(padded, reach, d):
+            parent = np.maximum(padded[start], padded[stop])
+            extended = parent < d - 1
+            branches[d] += len(start)
+            extensions += np.bincount(parent[extended] + 1, minlength=top)
+            weight = extended.astype(np.int8) + 1
+            nodes_above[start] += weight
+            nodes_above[stop] -= weight
+    np.cumsum(nodes_above, dtype=np.int8, out=nodes_above)
+    node_counts = _counts(nodes_above[lo:hi] + 1 for lo, hi in _blocks(n))
 
     census = {}
-    levels = zip_longest(branches, extensions.tolist(), np.bincount(depth).tolist(),
-                         fillvalue=0)
-    for d, counts in enumerate(levels):
+    # the deepest leaves hang one nibble below the largest LCP, at ``top``
+    for d, counts in enumerate(zip_longest(branches, extensions.tolist(),
+                                           leaves[:top + 1], fillvalue=0)):
         if any(counts):
             census[d] = dict(zip(CENSUS_KINDS, counts))
-    return TrieShape(_histogram(depth), _histogram(node_counts), census)
+    return TrieShape(_histogram(leaves), _histogram(node_counts), census)

@@ -46,6 +46,21 @@ def test_determinism():
     assert np.array_equal(generate(500, 123), generate(500, 123))
 
 
+@pytest.mark.parametrize("start", [1, 2, 3, 4, 65_535, 65_536])
+@pytest.mark.parametrize("count", [0, 1, 2, 7])
+def test_uniform_start_continues_the_stream(start, count):
+    """An odd start begins halfway into a 64-bit word, an even one on a
+    word boundary."""
+    assert np.array_equal(generate(count, 8, start=start), generate(start + count, 8)[start:])
+
+
+def test_only_uniform_starts_past_zero():
+    with pytest.raises(ValueError, match="crypto addresses cannot start at 1"):
+        generate(2, 1, "crypto", start=1)
+    with pytest.raises(ValueError, match="uniform addresses cannot start at -1"):
+        generate(2, 1, start=-1)
+
+
 def test_crypto_determinism():
     assert np.array_equal(generate(5, 9, "crypto"), generate(5, 9, "crypto"))
 

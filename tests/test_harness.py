@@ -15,6 +15,7 @@ from pathlab.harness import (
     trial_seed,
 )
 from pathlab.model import ModelParams, distribution
+from pathlab.trie import sorted_shape
 
 
 def small_config(**overrides):
@@ -63,9 +64,9 @@ def test_config_large_sizes_need_opt_in():
     with pytest.raises(ConfigError, match="allow_large"):
         ExperimentConfig(sizes=(500_000,))
     ExperimentConfig(sizes=(500_000,), allow_large=True)
-    ExperimentConfig(sizes=(10_000_000,), allow_large=True)
+    ExperimentConfig(sizes=(100_000_000,), allow_large=True)
     with pytest.raises(ConfigError, match="maximum"):
-        ExperimentConfig(sizes=(10_000_001,), allow_large=True)
+        ExperimentConfig(sizes=(100_000_001,), allow_large=True)
 
 
 def test_trial_seed_is_stable_and_spread():
@@ -83,6 +84,34 @@ def test_run_trial_determinism():
     b = run_trial(100, 0, cfg)
     assert a.divergence_histogram.counts == b.divergence_histogram.counts
     assert a.level_census == b.level_census
+
+
+def test_crypto_trial_derives_each_key_once(monkeypatch):
+    """A crypto trial's keys are derived once, into one array, and the
+    kernel's pass over tied prefixes reads that array again. Here every
+    other address is given the same first 8 bytes, so most prefixes tie."""
+    derived = []
+
+    def counted_public_keys(scalars):
+        derived.append(len(scalars))
+        return public_keys(scalars)
+
+    def tied_rows(points):
+        digests = keccak256_rows(points)
+        digests[::2, -20:-12] = 0xAB  # the address's first 8 bytes
+        return digests
+
+    public_keys, keccak256_rows = harness.addrgen.public_keys, harness.addrgen.keccak256_rows
+    monkeypatch.setattr(harness.addrgen, "keccak256_rows", tied_rows)
+    monkeypatch.setattr(harness.addrgen, "public_keys", counted_public_keys)
+    cfg = ExperimentConfig(sizes=(40,), trials=1, master_seed=2, mode="crypto")
+    result = run_trial(40, 0, cfg)
+    assert sum(derived) == 40
+    keys = harness.addrgen.generate(40, trial_seed(2, 40, 0), "crypto")
+    assert (keys[::2, :8] == 0xAB).all()
+    assert result.divergence_histogram.counts == sorted_shape(keys).depths
+    # the 20 tied keys, and only they, sit below the 16 prefix nibbles
+    assert sum(c for d, c in result.divergence_histogram.counts.items() if d > 16) == 20
 
 
 def test_table_span_rule():

@@ -90,7 +90,7 @@ def test_render_report_formats():
 
 @pytest.mark.parametrize("fmt, sha256", [
     ("md", "aefa6a3b383928f471ef128a707cc3691e612129972c75ced9711ab24dce0435"),
-    ("csv", "063e1fbec9cc0c43f65e8a2fc640db187eb77c1a900d054fc930a040521dfd45"),
+    ("csv", "7d2220cd07e740047c15c118776b423373ebf9547f4d5ddc6f14c0909cdaac93"),
 ])
 def test_render_report_bytes_pinned(fmt, sha256):
     """The markdown and CSV renderings of the benchmark's validate-paper

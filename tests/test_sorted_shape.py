@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pathlab
+from pathlab import addrgen, harness, trie
+from pathlab.harness import CHUNK_KEYS, UniformChunks
 from pathlab.keyspace import from_nibbles, to_nibbles
-from pathlab.trie import Trie, TrieShape, leading_zero_nibbles, sorted_shape
+from pathlab.trie import Trie, TrieShape, leading_zero_nibbles, sorted_shape, streamed_shape
 from test_acceptance import _random_key_batch
 
 
@@ -265,6 +268,21 @@ def test_kernel_memory_stays_within_a_small_multiple_of_the_keys():
     assert peak <= 2.5 * keys.nbytes, peak / keys.nbytes
 
 
+def test_streamed_uniform_trial_peak_memory_per_key():
+    """A streamed trial keeps 8-byte prefixes and 1-byte LCPs, not its
+    20-byte keys: 14.6 bytes a key at 200,000 keys, where a chunk of
+    ``CHUNK_KEYS`` drawn keys (1.3 MB) is still a seventh of the peak."""
+    streamed_shape(UniformChunks(1_000, 5), 1_000)  # numpy.random loads lazily
+    n = 200_000
+    tracemalloc.start()
+    try:
+        streamed_shape(UniformChunks(n, 5), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * n, peak / n
+
+
 def test_kernel_peak_memory_stays_within_1_1_times_the_keys():
     """The sweep keeps no per-key array wider than a byte, and the LCP step
     no index beside the sorted prefixes and their xor."""
@@ -320,3 +338,59 @@ def test_kernel_matches_trie_on_a_nest_39_levels_deep():
     paths = [to_nibbles(k) for k in keys]
     assert [next(i for i in range(40) if a[i] != b[i]) for a, b in zip(paths, paths[1:])] == lcps
     assert_same_shape(keys)
+
+
+# -- chunked key sources and blocked passes --
+
+
+@pytest.mark.parametrize("size", [CHUNK_KEYS - 1, CHUNK_KEYS, CHUNK_KEYS + 1, 2 * CHUNK_KEYS + 1])
+def test_streamed_trial_matches_the_whole_key_array(size):
+    keys = addrgen.generate(size, 3)
+    assert streamed_shape(UniformChunks(size, 3), size) == sorted_shape(keys)
+
+
+@pytest.mark.parametrize("chunk, block", [(64, 1 << 16), (64, 16), (50, 7)])
+@pytest.mark.parametrize("offset", [-1, 0, 1, "2x+1"])
+def test_streamed_trial_matches_trie_around_the_chunk_size(monkeypatch, chunk, block, offset):
+    """Sizes one short of, at, one past and twice the chunk size plus one,
+    with chunks (and the kernel's blocks) small enough for the oracle."""
+    size = 2 * chunk + 1 if offset == "2x+1" else chunk + offset
+    monkeypatch.setattr(harness, "CHUNK_KEYS", chunk)
+    monkeypatch.setattr(trie, "_BLOCK", block)
+    keys = addrgen.generate(size, size)
+    got = streamed_shape(UniformChunks(size, size), size)
+    assert got == sorted_shape(keys) == oracle_shape([bytes(k) for k in keys])
+
+
+def test_tied_prefixes_split_across_two_chunks():
+    """A group of keys over one 8-byte prefix, with a duplicate, half in
+    each chunk: the second pass over the chunks finds every one of them."""
+    rng = np.random.default_rng(9)
+    prefix = rng.bytes(8)
+    group = [prefix + rng.bytes(12) for _ in range(6)]
+    group += [diverging_at(group[0], lcp, rng.bytes(20)) for lcp in (16, 23, 39)]
+    group.append(group[3])
+    keys = _random_key_batch(rng, 30) + group
+    rng.shuffle(keys)
+    rows = np.frombuffer(b"".join(keys), np.uint8).reshape(-1, 20)
+    first = rows[:len(rows) // 2]
+    assert 0 < sum(bytes(k[:8]) == prefix for k in first) < len(group)
+    got = streamed_shape([first, rows[len(first):]], len(rows))
+    assert got == oracle_shape(keys)
+
+
+def test_streamed_shape_rejects_a_short_source():
+    with pytest.raises(ValueError, match="chunks hold 3 keys, not 4"):
+        streamed_shape([np.zeros((3, 20), np.uint8)], 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lcp_sequences, st.integers(1, 9), st.integers(1, 9))
+def test_kernel_matches_trie_across_chunks_and_blocks(lcps, chunk, block):
+    """LCP runs, branches and tied groups that straddle the kernel's blocks
+    and the source's chunks."""
+    keys = keys_with_lcps(lcps)
+    rows = np.frombuffer(b"".join(keys), np.uint8).reshape(-1, 20)[::-1]
+    chunks = [rows[i:i + chunk] for i in range(0, len(rows), chunk)]
+    with mock.patch.object(trie, "_BLOCK", block):
+        assert streamed_shape(chunks, len(rows)) == oracle_shape(keys)

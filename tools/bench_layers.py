@@ -1,6 +1,7 @@
 """Layer benches of the trial kernel and of ``crypto`` key derivation.
 
     python tools/bench_layers.py {kernel,crypto} --label NAME [--src SRC]
+        [--sizes N,N,...] [--validate-only]
 
 For each of the bench's sizes, a fresh process imports ``pathlab`` from
 ``SRC`` (a ``src`` directory of any checkout with the steps below), times
@@ -8,16 +9,27 @@ each step as the median of the bench's ``repeats`` calls and records
 ``ru_maxrss_mb``, its peak RSS after all of them. The results go into the
 bench's file under ``runs[NAME]``, with the machine that measured them;
 other labels already in the file are kept, so a parent and a change can
-share one file.
+share one file. ``--sizes`` replaces the bench's sizes.
 
 ``kernel`` (1e5, 1e6 and 1e7 uniform keys, 3 calls each), into
-``BENCH_sorted_shape.json``:
+``BENCH_sorted_shape.json``. The keys are a ``uniform`` trial's
+(``harness.UniformChunks``, seed 1), streamed a chunk at a time as the
+harness streams them, so no step holds them whole:
 
-- ``generate_s``: ``addrgen.generate``
-- ``sorted_shape_s``: the whole ``trie.sorted_shape`` kernel
-- ``prefix_sort_s``, ``lcp_s``, ``sweep_s``: the kernel's steps (sorting
-  the 8-byte key prefixes, the adjacent LCPs, the lcp-interval sweep)
-- ``kernel_peak_x_keys``: the kernel's tracemalloc peak over the keys' bytes
+- ``streamed_shape_s``: the whole ``trie.streamed_shape`` kernel, key
+  generation included
+- ``fill_s``, ``sort_s``, ``lcp_s``, ``sweep_s``: the kernel's steps, run in
+  order: drawing the keys into the 8-byte prefix array, sorting it in
+  place, the adjacent LCPs (``trie._prefix_lcps``) and the lcp-interval
+  sweep (``trie._sweep``)
+- ``kernel_peak_bytes_per_key``: the whole kernel's tracemalloc peak over
+  the key count
+- ``validate_s``, ``validate_maxrss_mb``: a one-trial ``pathlab validate``
+  of the size in its own fresh process, wall time and ``ru_maxrss``
+
+``--validate-only`` measures only ``validate_*``, which any checkout's
+command line gives, so a parent from before the streamed kernel can be
+measured too.
 
 ``crypto`` (1,000 and 4,096 keys, 5 calls each), into ``BENCH_crypto.json``:
 
@@ -71,35 +83,56 @@ def _finish_row(row: dict) -> dict:
     return {k: round(v, 4) if isinstance(v, float) else v for k, v in row.items()}
 
 
-def _sorted_prefixes(trie, keys):
-    prefixes = trie._prefixes(keys)
-    prefixes.sort()
-    return prefixes
-
-
 def measure_kernel(size: int, repeats: int) -> dict:
     """Time one size in this process; ``pathlab`` must be importable."""
     import tracemalloc
 
-    from pathlab import addrgen, trie
+    from pathlab import harness, trie
 
+    chunks = harness.UniformChunks(size, 1)
     row = {}
-    row["generate_s"], keys = _median_time(lambda: addrgen.generate(size, 1), repeats)
-    row["sorted_shape_s"], _ = _median_time(lambda: trie.sorted_shape(keys), repeats)
-    row["prefix_sort_s"], ordered = _median_time(
-        lambda: _sorted_prefixes(trie, keys), repeats)
-    row["lcp_s"], lcp = _median_time(lambda: trie._adjacent_lcps(keys, ordered), repeats)
-    del ordered
-    row["sweep_s"], _ = _median_time(lambda: trie._shape_from_lcps(lcp), repeats)
-    del lcp
+    row["streamed_shape_s"], _ = _median_time(
+        lambda: trie.streamed_shape(chunks, size), repeats)
+    steps = {"fill_s": [], "sort_s": [], "lcp_s": [], "sweep_s": []}
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        ordered = trie._fill_prefixes(chunks, size)
+        t1 = time.perf_counter()
+        ordered.sort()
+        t2 = time.perf_counter()
+        padded, _ = trie._prefix_lcps(ordered)
+        t3 = time.perf_counter()
+        del ordered
+        trie._sweep(padded)
+        t4 = time.perf_counter()
+        del padded
+        for name, t in zip(steps, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+            steps[name].append(t)
+    row.update((name, statistics.median(times)) for name, times in steps.items())
     tracemalloc.start()
     try:
-        trie.sorted_shape(keys)
+        trie.streamed_shape(chunks, size)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    row["kernel_peak_x_keys"] = round(peak / keys.nbytes, 3)
+    row["kernel_peak_bytes_per_key"] = round(peak / size, 3)
     return _finish_row(row)
+
+
+def measure_validate(size: int, src: str) -> dict:
+    """A one-trial ``validate`` of ``size`` keys in a fresh process."""
+    import resource
+
+    start = time.perf_counter()
+    subprocess.run(
+        [sys.executable, "-m", "pathlab.cli", "validate", "--sizes", str(size),
+         "--trials", "1", "--seed", "1", "--allow-large", "--format", "json",
+         "--out", os.devnull],
+        env=dict(os.environ, PYTHONPATH=src), check=True,
+    )
+    return {"validate_s": round(time.perf_counter() - start, 4),
+            "validate_maxrss_mb": round(
+                resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, 1)}
 
 
 def measure_crypto(size: int, repeats: int) -> dict:
@@ -159,9 +192,12 @@ BENCHES = {
         "measure": measure_kernel,
         "description": (
             "tools/bench_layers.py kernel: per size, a fresh process times "
-            "addrgen.generate, trie.sorted_shape and its steps on uniform keys "
-            "(medians of `repeats` calls), the kernel's tracemalloc peak over the "
-            "keys' bytes and ru_maxrss"
+            "trie.streamed_shape and its steps (fill, sort, lcp, sweep) on a "
+            "uniform trial's keys streamed in chunks (medians of `repeats` "
+            "calls), the kernel's tracemalloc peak over the key count and "
+            "ru_maxrss; validate_*: a one-trial `pathlab validate` in its own "
+            "fresh process, wall time and ru_maxrss (the only keys of a "
+            "--validate-only run)"
         ),
     },
     "crypto": {
@@ -188,11 +224,21 @@ def main(argv=None) -> int:
     ap.add_argument("--src", default=str(ROOT / "src"),
                     help="src directory to import pathlab from")
     ap.add_argument("--label", required=True, help="name of this run in the output")
+    ap.add_argument("--sizes", type=lambda text: [int(n) for n in text.split(",")],
+                    help="comma-separated sizes in place of the bench's")
+    ap.add_argument("--validate-only", action="store_true",
+                    help="kernel: measure only the one-trial validate")
     ap.add_argument("--one", type=int, help=argparse.SUPPRESS)
+    ap.add_argument("--validate", type=int, help=argparse.SUPPRESS)
     ap.add_argument("--experiment", choices=("serial", "pooled"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     bench = BENCHES[args.bench]
+    if args.validate_only and args.bench != "kernel":
+        ap.error("--validate-only applies to the kernel bench")
 
+    if args.validate is not None:
+        print(json.dumps(measure_validate(args.validate, args.src)))
+        return 0
     if args.one is not None or args.experiment is not None:
         sys.path.insert(0, args.src)
         if args.one is not None:
@@ -210,9 +256,14 @@ def main(argv=None) -> int:
         return json.loads(out.stdout.splitlines()[-1])
 
     run = {"repeats": bench["repeats"], "sizes": {}}
-    for size in bench["sizes"]:
-        run["sizes"][str(size)] = fresh("--one", str(size))
-        print(args.label, size, run["sizes"][str(size)], file=sys.stderr)
+    for size in args.sizes or bench["sizes"]:
+        row = {} if args.validate_only else fresh("--one", str(size))
+        if args.bench == "kernel":
+            # its own process: RUSAGE_CHILDREN would also count this one's
+            # earlier children
+            row.update(fresh("--validate", str(size)))
+        run["sizes"][str(size)] = row
+        print(args.label, size, row, file=sys.stderr)
     if args.bench == "crypto":
         calls = {"serial": [], "pooled": []}
         for _ in range(bench["repeats"]):
