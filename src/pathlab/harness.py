@@ -7,13 +7,14 @@ building it; the ``Trie`` stays as the paper's instrument and the
 oracle the kernel is tested against. A ``uniform`` trial streams its
 keys to the kernel in chunks of ``CHUNK_KEYS``, each drawn from its place
 in the trial's stream, and the kernel keeps only their 8-byte prefixes,
-so no trial holds its keys: its memory is about 9 bytes a key. A
-``crypto`` trial derives its keys once, into one array. Sizes above
-``LARGE_SIZE_THRESHOLD`` need ``allow_large``, and ``MAX_SIZE``
-(100,000,000 keys, about 0.9 GB) is the most one trial may have. A size
-with too few pooled keys for two count chi-square bins is refused when
-:class:`ExperimentConfig` is built, before any trial runs or the command
-line opens ``--out``.
+so no trial holds its keys: its memory is about 8 bytes a key. A
+``crypto`` trial derives its keys once, into one array, and holds their
+20 bytes a key besides. Sizes above ``LARGE_SIZE_THRESHOLD`` need
+``allow_large``, and ``MAX_SIZE`` (300,000,000 keys, about 2.3 GB) is the
+most one trial may have. A size whose trial needs more bytes than the
+machine has physical memory, or with too few pooled keys for two count
+chi-square bins, is refused when :class:`ExperimentConfig` is built,
+before any trial runs or the command line opens ``--out``.
 
 Reports are a pure function of the configuration. Each (size, trial)
 pair gets its own generator seed derived with splitmix64 from
@@ -38,7 +39,8 @@ from dataclasses import asdict, dataclass
 from functools import reduce
 
 from . import addrgen, model, stats
-from .trie import streamed_shape
+from .keyspace import ADDRESS_BYTES
+from .trie import PREFIX_BYTES, streamed_shape
 
 SCHEMA_VERSION = 1
 
@@ -47,11 +49,24 @@ DEFAULT_TRIALS = 10
 
 # Sizes past the largest validated scale need an explicit opt-in.
 LARGE_SIZE_THRESHOLD = 100_000
-MAX_SIZE = 100_000_000
+MAX_SIZE = 300_000_000
+# Bytes a key that a trial of each mode holds at its peak: the kernel's
+# sorted prefixes, and a ``crypto`` trial's keys beside them.
+TRIAL_BYTES_PER_KEY = {"uniform": PREFIX_BYTES, "crypto": PREFIX_BYTES + ADDRESS_BYTES}
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where ``os.sysconf`` cannot tell."""
+    try:
+        pages = os.sysconf("SC_PHYS_PAGES")
+        page = os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or not these names
+        return None
+    return pages * page if pages > 0 and page > 0 else None
 
 
 @dataclass(frozen=True)
@@ -70,6 +85,7 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.mode not in addrgen.MODES:
             raise ConfigError(f"unknown generator mode {self.mode!r}")
+        memory = _physical_memory()
         for n in self.sizes:
             if n < 2:
                 raise ConfigError(f"size {n} is below the minimum of 2")
@@ -79,8 +95,15 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"size {n} exceeds {LARGE_SIZE_THRESHOLD}; set allow_large "
                     "(--allow-large on the command line) to run it anyway; peak "
-                    "RSS is about 46 MB at 1,000,000 keys, 125 MB at 10,000,000 "
-                    "and 900 MB at 100,000,000"
+                    "RSS is about 45 MB at 1,000,000 keys, 114 MB at 10,000,000, "
+                    "800 MB at 100,000,000 and 2.3 GB at 300,000,000"
+                )
+            needed = n * TRIAL_BYTES_PER_KEY[self.mode]
+            if memory is not None and needed > memory:
+                raise ConfigError(
+                    f"size {n} needs about {needed:,} bytes for one {self.mode} "
+                    f"trial ({TRIAL_BYTES_PER_KEY[self.mode]} bytes a key), more "
+                    f"than the {memory:,} bytes of physical memory here"
                 )
             total = n * self.trials
             pmf = model.distribution(model.ModelParams(n=n)).probabilities

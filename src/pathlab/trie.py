@@ -313,20 +313,17 @@ def streamed_shape(chunks: Iterable[np.ndarray], count: int) -> TrieShape:
     that is below ``d - 1``, an extension starts one nibble under the
     parent and leads to the branch.
 
-    Memory: 9 bytes a key while the prefixes are sorted and their LCPs
-    taken, then 3 bytes a key for the sweep, plus blocks of ``_BLOCK``
-    entries. Duplicate keys count once, as :meth:`Trie.insert` overwrites
-    them.
+    Memory: 8 bytes a key, the prefixes, while they are sorted and their
+    LCPs taken (the LCPs are written over the prefixes' buffer, which then
+    shrinks to them), then 3 bytes a key for the sweep, plus blocks of
+    ``_BLOCK`` entries. Duplicate keys count once, as :meth:`Trie.insert`
+    overwrites them.
     """
     if not count:
         return TrieShape({}, {}, {})
     ordered = _fill_prefixes(chunks, count)
     ordered.sort()
-    padded, tie = _prefix_lcps(ordered)
-    tied = ordered[tie]
-    # The sweep does not read the prefixes; alive, their 8 bytes a key
-    # would be most of its peak memory.
-    del ordered
+    padded, tie, tied = _prefix_lcps(ordered)
     if len(tie):
         padded = _resolve_ties(chunks, padded, tie, tied)
     return _sweep(padded)
@@ -377,22 +374,35 @@ def _fill_prefixes(chunks: Iterable[np.ndarray], count: int) -> np.ndarray:
     return prefixes
 
 
-def _prefix_lcps(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nibble LCPs of adjacent sorted prefixes, taken a block at a time.
+def _prefix_lcps(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nibble LCPs of adjacent sorted prefixes, taken a block at a time and
+    written over the front of ``ordered``, a ``uint64`` array that owns its
+    data and that no view reads: it is consumed.
 
     Returns ``padded``, whose entry ``j`` is the LCP between keys ``j - 1``
-    and ``j`` (-1 past either end), and the ``k`` of the adjacent pairs
-    ``(k, k + 1)`` whose prefixes tie: their LCP is 16 here and at least 16
-    on the full keys.
+    and ``j`` (-1 past either end), held in the first ``n + 1`` bytes of
+    ``ordered``'s buffer, shrunk to them; the ``k`` of the adjacent pairs
+    ``(k, k + 1)`` whose prefixes tie (their LCP is 16 here and at least 16
+    on the full keys); and the prefixes of those ``k``.
     """
     n = len(ordered)
-    padded = np.full(n + 1, -1, np.int8)
-    ties = [np.empty(0, np.intp)]
+    out = ordered.view(np.int8)
+    ties, tied = [np.empty(0, np.intp)], [np.empty(0, np.uint64)]
+    block = np.empty(min(_BLOCK, n), np.uint64)
     for i, j in _blocks(n - 1):
-        xor = ordered[i + 1:j + 1] ^ ordered[i:j]
-        padded[i + 1:j + 1] = leading_zero_nibbles(xor)
-        ties.append(np.flatnonzero(xor == 0) + i)
-    return padded, np.concatenate(ties)
+        # Block [i, j) writes bytes i+1..j, which lie in prefixes below j:
+        # no later block reads them, and this one has read them into xor.
+        xor = np.bitwise_xor(ordered[i + 1:j + 1], ordered[i:j], out=block[:j - i])
+        tie = np.flatnonzero(xor == 0)
+        ties.append(tie + i)
+        tied.append(ordered[i:j][tie])
+        out[i + 1:j + 1] = leading_zero_nibbles(xor)
+    out[0] = out[n] = -1
+    del out
+    # No view of the buffer is alive, so a shrink that moves it leaves
+    # nothing pointing at the old one.
+    ordered.resize(-(-(n + 1) // PREFIX_BYTES), refcheck=False)
+    return ordered.view(np.int8)[:n + 1], np.concatenate(ties), np.concatenate(tied)
 
 
 def _full_key_lcps(rows: np.ndarray) -> np.ndarray:

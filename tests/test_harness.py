@@ -60,13 +60,45 @@ def test_enough_keys_for_two_bins_accepted(size):
     assert run_experiment(cfg).results[0].chi_square_counts.dof >= 1
 
 
-def test_config_large_sizes_need_opt_in():
+def fake_sysconf(memory: int):
+    """An ``os.sysconf`` for a machine with ``memory`` bytes in 4 KiB pages."""
+    return lambda name: {"SC_PHYS_PAGES": memory // 4096, "SC_PAGE_SIZE": 4096}[name]
+
+
+def test_config_large_sizes_need_opt_in(monkeypatch):
+    monkeypatch.setattr(harness.os, "sysconf", fake_sysconf(1 << 40))
     with pytest.raises(ConfigError, match="allow_large"):
         ExperimentConfig(sizes=(500_000,))
     ExperimentConfig(sizes=(500_000,), allow_large=True)
-    ExperimentConfig(sizes=(100_000_000,), allow_large=True)
+    ExperimentConfig(sizes=(300_000_000,), allow_large=True)
     with pytest.raises(ConfigError, match="maximum"):
-        ExperimentConfig(sizes=(100_000_001,), allow_large=True)
+        ExperimentConfig(sizes=(300_000_001,), allow_large=True)
+
+
+@pytest.mark.parametrize("mode, fits", [
+    ("uniform", 125_000_192),   # 8 bytes a key: exactly the memory
+    ("crypto", 35_714_340),     # 28 bytes a key: 16 bytes short of it
+])
+def test_config_refuses_a_trial_larger_than_physical_memory(monkeypatch, mode, fits):
+    monkeypatch.setattr(harness.os, "sysconf", fake_sysconf(1_000_001_536))
+    ExperimentConfig(sizes=(fits,), trials=1, mode=mode, allow_large=True)
+    refused = fits + 1
+    needed = refused * harness.TRIAL_BYTES_PER_KEY[mode]
+    with pytest.raises(ConfigError, match=f"size {refused} needs about {needed:,} "
+                       "bytes .* than the 1,000,001,536 bytes of physical memory"):
+        ExperimentConfig(sizes=(refused,), trials=1, mode=mode, allow_large=True)
+
+
+def unknown_name(name):
+    raise ValueError(f"unrecognized configuration name {name!r}")
+
+
+@pytest.mark.parametrize("sysconf", [unknown_name, lambda name: -1])
+def test_config_skips_the_memory_check_where_sysconf_cannot_tell(monkeypatch, sysconf):
+    monkeypatch.setattr(harness.os, "sysconf", sysconf)
+    ExperimentConfig(sizes=(300_000_000,), allow_large=True)
+    monkeypatch.delattr(harness.os, "sysconf")
+    ExperimentConfig(sizes=(300_000_000,), allow_large=True)
 
 
 def test_trial_seed_is_stable_and_spread():

@@ -296,6 +296,26 @@ def test_kernel_peak_memory_stays_within_1_1_times_the_keys():
     assert peak <= 1.1 * keys.nbytes, peak / keys.nbytes
 
 
+def test_kernel_peak_memory_is_the_prefixes_plus_blocks(monkeypatch):
+    """The LCPs are written over the sorted prefixes, so no per-key array
+    sits beside them: the peak is 8 bytes a key plus block temporaries (the
+    LCP step's xor and nibble counts, about 10 bytes an entry; the sweep's,
+    beside its 3 bytes a key). Blocks of 2**14 entries keep those near one
+    byte a key at 200,000 keys, so the per-key term decides: 8 bytes a key
+    plus 10.9 blocks here, 9 bytes a key plus 16.2 blocks with a separate
+    LCP array."""
+    monkeypatch.setattr(trie, "_BLOCK", 1 << 14)
+    keys = np.random.default_rng(5).integers(0, 256, (200_000, 20), dtype=np.uint8)
+    sorted_shape(keys[:1_000])
+    tracemalloc.start()
+    try:
+        sorted_shape(keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * len(keys) + 16 * trie._BLOCK, (peak - 8 * len(keys)) / trie._BLOCK
+
+
 # -- LCP sequences that random keys never reach --
 
 

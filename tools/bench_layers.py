@@ -100,7 +100,8 @@ def measure_kernel(size: int, repeats: int) -> dict:
         t1 = time.perf_counter()
         ordered.sort()
         t2 = time.perf_counter()
-        padded, _ = trie._prefix_lcps(ordered)
+        # indexed, not unpacked: older checkouts return fewer values
+        padded = trie._prefix_lcps(ordered)[0]
         t3 = time.perf_counter()
         del ordered
         trie._sweep(padded)
