@@ -24,8 +24,10 @@ function of the configuration. ``uniform`` trials run serially, one
 after another: they take milliseconds, about what starting a process
 pool costs. ``crypto`` trials, about 0.11 ms per key, run on a pool of
 forked processes, one per CPU this process may use (at most one per
-pair), so up to that many trials are in memory at once; a single pair, a
-single CPU, a platform without ``fork`` or a caller running other
+pair), so up to that many trials are in memory at once. The pool is also
+capped at the number of trials of the largest size that physical memory
+holds (``TRIAL_BYTES_PER_KEY``), at least one. A single pair, a single
+CPU, a cap of one, a platform without ``fork`` or a caller running other
 threads runs them serially. Results come back in configuration order
 either way, so the report is the same bytes.
 """
@@ -275,6 +277,11 @@ def _pool_trial(size: int, trial: int, cfg: ExperimentConfig) -> TrialResult:
 def _run_trials(pairs: list[tuple[int, int]], cfg: ExperimentConfig) -> list[TrialResult]:
     """``run_trial`` on each (size, trial) pair, results in ``pairs`` order."""
     workers = min(_cpu_count(), len(pairs)) if cfg.mode == "crypto" else 1
+    memory = _physical_memory()
+    if memory is not None:
+        # each worker holds one trial at a time, the largest at most
+        trial_bytes = max(cfg.sizes) * TRIAL_BYTES_PER_KEY[cfg.mode]
+        workers = min(workers, max(1, memory // trial_bytes))
     if workers > 1:
         import multiprocessing
         import threading

@@ -308,10 +308,14 @@ def streamed_shape(chunks: Iterable[np.ndarray], count: int) -> TrieShape:
     ``d`` at a time. An LCP below ``d`` is a boundary, and the keys between
     two boundaries share ``d`` nibbles; a run of them that holds a
     separator, an LCP equal to ``d``, is a branch at ``d``. Each depth
-    visits only the boundaries and separators of runs of two or more keys.
-    A branch's parent sits at the larger of its two boundary LCPs; when
-    that is below ``d - 1``, an extension starts one nibble under the
-    parent and leads to the branch.
+    visits only the boundaries and separators of runs of two or more keys,
+    a block of positions at a time. A branch opens where the visited
+    positions turn from a boundary to a separator and closes where they
+    turn back, so one pass over each block's turns pairs every open with
+    its close; between blocks only the last visited position and at most
+    one open branch's start are carried. A branch's parent sits at the
+    larger of its two boundary LCPs; when that is below ``d - 1``, an
+    extension starts one nibble under the parent and leads to the branch.
 
     Memory: 8 bytes a key, the prefixes, while they are sorted and their
     LCPs taken (the LCPs are written over the prefixes' buffer, which then
@@ -460,22 +464,36 @@ def _branch_ranges(padded: np.ndarray, reach: np.ndarray, d: int):
     to an LCP of at least ``d`` are visited: the boundaries (LCP < d) of
     runs of two or more keys and the separators (LCP == d) inside them. A
     boundary followed by a separator opens a branch; a separator followed
-    by a boundary closes it. Each block's positions are led by the last
-    one visited before them, and a branch still open at a block's end is
-    carried into the next: branches at one depth are disjoint, so the
-    ``i``-th close pairs with the ``i``-th open.
+    by a boundary closes it. So the branch edges are where the visited
+    positions turn from boundaries to separators or back, found by one
+    ``flatnonzero`` a block, and they alternate: opens and closes are every
+    other edge, starting with an open when the block's first visited
+    position is a boundary. Only two things are carried from block to
+    block: the last position visited, whose edge with the next block's
+    first one is checked apart, and the start of a branch still open at a
+    block's end. A block that visits nothing carries them on unchanged.
     """
-    at = opened = np.empty(0, np.intp)
+    last = pending = None
+    last_sep = False
     for lo, hi in _blocks(len(padded)):
-        here = ((padded[lo:hi] <= d) & (reach[lo:hi] >= d)).nonzero()[0]
+        here = np.flatnonzero((padded[lo:hi] <= d) & (reach[lo:hi] >= d))
+        if not len(here):
+            continue
         here += lo
-        at = np.concatenate((at[-1:], here)) if len(at) else here
-        split = padded[at] == d
-        opens = at[:-1][~split[:-1] & split[1:]]
-        opened = np.concatenate((opened, opens)) if len(opened) else opens
-        stop = at[1:][split[:-1] & ~split[1:]]
-        yield opened[:len(stop)], stop
-        opened = opened[len(stop):]
+        sep = padded[here] == d
+        edges = np.flatnonzero(sep[1:] != sep[:-1])
+        if sep[0]:
+            start = np.concatenate(([pending if last_sep else last], here[edges[1::2]]))
+            stop = here[edges[::2] + 1]
+        else:
+            start, stop = here[edges[::2]], here[edges[1::2] + 1]
+            if last_sep:
+                start = np.concatenate(([pending], start))
+                stop = np.concatenate((here[:1], stop))
+        last, last_sep = here[-1], sep[-1]
+        if last_sep:
+            pending, start = start[-1], start[:-1]
+        yield start, stop
 
 
 def _sweep(padded: np.ndarray) -> TrieShape:

@@ -282,6 +282,25 @@ def test_crypto_pool_uses_one_worker_per_cpu(monkeypatch):
     assert started == [4, 3]
 
 
+def test_crypto_pool_holds_no_more_trials_than_physical_memory(monkeypatch):
+    """With memory for one trial of the largest size (40 crypto keys, 28
+    bytes a key), two CPUs run the trials one after another in this
+    process, not on two workers that would hold two trials at once."""
+    import os
+
+    pids = []
+
+    def recorded(size, trial, cfg):
+        pids.append(os.getpid())  # only this process's calls reach the list
+        return run_trial(size, trial, cfg)
+
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "_physical_memory", lambda: 2 * 40 * 28 - 1)
+    monkeypatch.setattr(harness, "run_trial", recorded)
+    run_experiment(crypto_pool_config())
+    assert pids == [os.getpid()] * 6
+
+
 def test_crypto_pool_worker_error_reaches_caller(monkeypatch):
     def broken(_scalars):
         raise ValueError("no point for this scalar")

@@ -316,6 +316,24 @@ def test_kernel_peak_memory_is_the_prefixes_plus_blocks(monkeypatch):
     assert peak <= 8 * len(keys) + 16 * trie._BLOCK, (peak - 8 * len(keys)) / trie._BLOCK
 
 
+def test_sweep_peak_memory_is_two_bytes_a_key_plus_blocks(monkeypatch):
+    """Beside its 1-byte LCPs, the sweep holds two per-key arrays of a byte
+    each (``reach`` and ``nodes_above``) and temporaries of a few blocks:
+    25.9 blocks of 2**14 entries at 200,000 keys (31.0 when each block's
+    visited positions were concatenated to the last one and compressed
+    twice)."""
+    monkeypatch.setattr(trie, "_BLOCK", 1 << 14)
+    keys = np.random.default_rng(5).integers(0, 256, (200_000, 20), dtype=np.uint8)
+    padded = trie._prefix_lcps(np.sort(trie._prefixes(keys)))[0]
+    tracemalloc.start()
+    try:
+        trie._sweep(padded)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * len(keys) + 28 * trie._BLOCK, (peak - 2 * len(keys)) / trie._BLOCK
+
+
 # -- LCP sequences that random keys never reach --
 
 
@@ -348,6 +366,27 @@ lcp_sequences = st.lists(lcp_segments, max_size=8).map(lambda s: [lcp for seg in
 @settings(max_examples=300, deadline=None)
 @given(lcp_sequences)
 def test_kernel_matches_trie_on_constructed_lcp_sequences(lcps):
+    assert_same_shape(keys_with_lcps(lcps))
+
+
+@pytest.mark.parametrize("lcps", [
+    # depth 5 opens at position 0 and closes at 15; blocks 4..7 and 8..11
+    # visit nothing at that depth and carry the open start
+    [5] + [39] * 12 + [5, 2],
+    # depth 3: separators at 1..3, closed by the boundary at 4, the next
+    # block's first visited position
+    [3, 3, 3, 1, 2],
+    # depth 3: the next block starts on a separator (4), so its first edge,
+    # between 4 and the boundary at 5, closes the branch carried into it
+    [3, 3, 3, 3, 1],
+    # depth 3: the boundary at 3 ends a block and the separator at 4 starts
+    # the next, so the branch opens on the edge between them
+    [5, 5, 1, 3, 3, 0],
+])
+def test_kernel_matches_trie_on_branches_carried_across_blocks(monkeypatch, lcps):
+    """Blocks of 4 positions; position ``j`` holds the LCP of keys ``j - 1``
+    and ``j``."""
+    monkeypatch.setattr(trie, "_BLOCK", 4)
     assert_same_shape(keys_with_lcps(lcps))
 
 
