@@ -4,17 +4,18 @@ Each trial's keys are measured by the sorted-LCP kernel
 :func:`pathlab.trie.streamed_shape`, which gives the depths, node counts
 and level census the pointer :class:`pathlab.trie.Trie` would, without
 building it; the ``Trie`` stays as the paper's instrument and the
-oracle the kernel is tested against. A ``uniform`` trial streams its
-keys to the kernel in chunks of ``CHUNK_KEYS``, each drawn from its place
-in the trial's stream, and the kernel keeps only their 8-byte prefixes,
-so no trial holds its keys: its memory is about 8 bytes a key. A
-``crypto`` trial derives its keys once, into one array, and holds their
-20 bytes a key besides. Sizes above ``LARGE_SIZE_THRESHOLD`` need
-``allow_large``, and ``MAX_SIZE`` (300,000,000 keys, about 2.3 GB) is the
-most one trial may have. A size whose trial needs more bytes than the
-machine has physical memory, or with too few pooled keys for two count
-chi-square bins, is refused when :class:`ExperimentConfig` is built,
-before any trial runs or the command line opens ``--out``.
+oracle the kernel is tested against. The kernel reads a ``uniform``
+trial's keys a block at a time, each block drawn from its place in the
+trial's stream, and keeps only their 8-byte prefixes, so no trial holds
+its keys: its memory is about 8 bytes a key. A ``crypto`` trial derives
+its keys once, into one array that :func:`pathlab.trie.sorted_shape`
+reads, and holds their 20 bytes a key besides. Sizes above
+``LARGE_SIZE_THRESHOLD`` need ``allow_large``, and ``MAX_SIZE``
+(300,000,000 keys, about 2.3 GB) is the most one trial may have. A size
+whose trial needs more bytes than the machine has physical memory, or
+with too few pooled keys for two count chi-square bins, is refused when
+:class:`ExperimentConfig` is built, before any trial runs or the command
+line opens ``--out``.
 
 Reports are a pure function of the configuration. Each (size, trial)
 pair gets its own generator seed derived with splitmix64 from
@@ -42,7 +43,7 @@ from functools import reduce
 
 from . import addrgen, model, stats
 from .keyspace import ADDRESS_BYTES
-from .trie import PREFIX_BYTES, streamed_shape
+from .trie import PREFIX_BYTES, sorted_shape, streamed_shape
 
 SCHEMA_VERSION = 1
 
@@ -166,36 +167,16 @@ class ExperimentReport:
     results: list[SizeResult]
 
 
-# Keys a ``uniform`` trial draws at a time: a chunk (1.3 MB of keys) adds
-# a fixed amount to a trial's peak memory, and seeding a generator at its
-# place in the stream (about 20 us) is 3% of drawing it (about 0.7 ms).
-CHUNK_KEYS = 1 << 16
-
-
-@dataclass(frozen=True)
-class UniformChunks:
-    """The ``size`` keys of a ``uniform`` trial as chunks of ``CHUNK_KEYS``,
-    drawn again on each pass."""
-
-    size: int
-    seed: int
-
-    def __iter__(self):
-        for start in range(0, self.size, CHUNK_KEYS):
-            # looked up on the module at each call, so that a wrapper
-            # installed on ``addrgen.generate`` sees every chunk
-            yield addrgen.generate(min(CHUNK_KEYS, self.size - start), self.seed,
-                                   "uniform", start)
-
-
 def run_trial(size: int, trial: int, cfg: ExperimentConfig) -> TrialResult:
     seed = trial_seed(cfg.master_seed, size, trial)
     if cfg.mode == "uniform":
-        chunks = UniformChunks(size, seed)
+        # ``generate`` is looked up on the module at each call, so that a
+        # wrapper installed on it sees every block the kernel reads
+        shape = streamed_shape(
+            lambda lo, hi: addrgen.generate(hi - lo, seed, "uniform", lo), size)
     else:
-        # derived once: the kernel's pass over tied prefixes re-reads it
-        chunks = [addrgen.generate(size, seed, cfg.mode)]
-    shape = streamed_shape(chunks, size)
+        # derived once: the kernel's pass over tied prefixes reads them again
+        shape = sorted_shape(addrgen.generate(size, seed, cfg.mode))
     return TrialResult(
         divergence_histogram=stats.PathLengthHistogram(shape.depths),
         node_count_histogram=stats.PathLengthHistogram(shape.node_counts),

@@ -56,13 +56,8 @@ def cdf(k: int, n: int) -> float:
 
 
 def expected_path_length(n: int) -> float:
-    """Mean path length: sum of k * pmf(k, n) for k in [1, 41].
-
-    Truncation at 41 discards less than n * 16^-41 of mass.
-    """
-    if n < 1:
-        raise ModelDomainError("key count n must be >= 1")
-    return sum(k * pmf(k, n) for k in range(1, MAX_PATH_LENGTH + 1))
+    """Mean path length of ``n`` keys: :attr:`ModelDistribution.mean`."""
+    return distribution(ModelParams(n=n)).mean
 
 
 def asymptotic_ratio(n: int) -> float:
@@ -89,6 +84,14 @@ class ModelDistribution:
     def mode(self) -> int:
         """Most probable path length."""
         return max(self.probabilities, key=self.probabilities.__getitem__)
+
+    @property
+    def mean(self) -> float:
+        """Mean path length: sum of k * pmf(k, n) for k in [1, 41].
+
+        Truncation at 41 discards less than n * 16^-41 of mass.
+        """
+        return sum(k * p for k, p in self.probabilities.items())
 
 
 def distribution(params: ModelParams) -> ModelDistribution:

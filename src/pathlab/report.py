@@ -72,7 +72,7 @@ def model_query(n: int, fmt: str = "md") -> str:
     """Render the analytic distribution and summary statistics for n keys."""
     _check_format(fmt)
     dist = model.distribution(model.ModelParams(n=n))
-    expected = model.expected_path_length(n)
+    expected = dist.mean
     ratio = model.asymptotic_ratio(n) if n >= 2 else None
     collision = collision_probability(n)
 
@@ -173,7 +173,7 @@ def render_report(report: ExperimentReport, fmt: str = "md") -> str:
         lines.append("")
         lines.append(
             f"- Average divergence depth: {_f2(r.avg_divergence_depth)} "
-            f"(model: {_f2(model.expected_path_length(r.size))})"
+            f"(model: {_f2(r.model_distribution.mean)})"
         )
         lines.append(f"- Average node count: {_f2(r.avg_node_count)}")
         lines.append(
@@ -218,7 +218,7 @@ def reproduce_tables(out_dir: str | Path, master_seed: int = 0,
 
     lines = ["number_of_addresses,theoretical_avg,experimental_avg,difference"]
     for r in report.results:
-        theo = model.expected_path_length(r.size)
+        theo = r.model_distribution.mean
         exp = r.avg_divergence_depth
         lines.append(f"{r.size},{_f2(theo)},{_f2(exp)},{_f2(abs(theo - exp))}")
     path = out / "table5_average_path_lengths.csv"

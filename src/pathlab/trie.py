@@ -13,7 +13,7 @@ value slots stay empty; the slot exists only for structural fidelity.
 
 :func:`streamed_shape` measures the same depths, node counts and
 census for a key set without building the trie, and without holding the
-keys: it reads them chunk by chunk and keeps each key's first 8 bytes,
+keys: it reads them a block at a time and keeps each key's first 8 bytes,
 sorted as unsigned 64-bit integers, turning to full 20-byte keys only for
 the rare groups whose prefixes tie. :func:`sorted_shape` is its call on
 one key array. :class:`Trie` is the paper's instrument and the oracle the
@@ -25,7 +25,7 @@ depth -> ``{"branches": …, "extensions": …, "leaves": …}``
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterable
+from collections.abc import Callable
 from itertools import zip_longest
 from typing import NamedTuple
 
@@ -277,28 +277,29 @@ class TrieShape(NamedTuple):
 
 
 def sorted_shape(keys: np.ndarray) -> TrieShape:
-    """Measure the trie of ``keys``, an ``(n, 20)`` uint8 array: the one-chunk
-    call of :func:`streamed_shape`."""
+    """Measure the trie of ``keys``, an ``(n, 20)`` uint8 array: the call of
+    :func:`streamed_shape` that reads slices of it."""
     keys = np.ascontiguousarray(keys, dtype=np.uint8)
     if keys.ndim != 2 or keys.shape[1] != ADDRESS_BYTES:
         raise ValueError(f"keys must be an (n, {ADDRESS_BYTES}) array, got {keys.shape}")
-    return streamed_shape([keys], len(keys))
+    return streamed_shape(lambda lo, hi: keys[lo:hi], len(keys))
 
 
-def streamed_shape(chunks: Iterable[np.ndarray], count: int) -> TrieShape:
-    """Measure the trie of ``count`` keys, given as ``chunks``: ``(m, 20)``
-    uint8 arrays that together hold the keys, in any order, from the
-    longest common prefixes (LCPs) of lexicographically adjacent keys.
+def streamed_shape(read: Callable[[int, int], np.ndarray], count: int) -> TrieShape:
+    """Measure the trie of ``count`` keys, in any order, from the longest
+    common prefixes (LCPs) of lexicographically adjacent keys. ``read(lo,
+    hi)`` gives keys ``lo`` to ``hi - 1`` as an ``(hi - lo, 20)`` uint8
+    array, and the same keys on every call; a read of another shape raises
+    ``ValueError``.
 
     The kernel keeps each key's first 8 bytes, an unsigned 64-bit integer,
-    and no full key: it fills one prefix array a chunk at a time and sorts
-    it, and the nibble LCP of two adjacent prefixes is the count of
-    leading zero nibbles of their xor. Adjacent prefixes that tie (an LCP
-    of 16 nibbles or more, about n**2 / 2 * 16**-16 pairs for random keys)
-    are resolved on full keys, from a second pass over ``chunks`` that
-    keeps only the rows whose prefix is tied. So ``chunks`` must be
-    re-iterable and give the same keys each time: a list of arrays, or an
-    object that draws them again.
+    and no full key: it reads the keys ``_BLOCK`` at a time into one prefix
+    array and sorts it, and the nibble LCP of two adjacent prefixes is the
+    count of leading zero nibbles of their xor. Adjacent prefixes that tie
+    (an LCP of 16 nibbles or more, about n**2 / 2 * 16**-16 pairs for
+    random keys) are resolved on full keys: the blocks are read again and
+    only the rows whose prefix is tied are kept. Without ties each key is
+    read once.
 
     In sorted order a key's leaf hangs one nibble below its deepest
     divergence from either neighbour, so its divergence depth is
@@ -317,19 +318,20 @@ def streamed_shape(chunks: Iterable[np.ndarray], count: int) -> TrieShape:
     larger of its two boundary LCPs; when that is below ``d - 1``, an
     extension starts one nibble under the parent and leads to the branch.
 
-    Memory: 8 bytes a key, the prefixes, while they are sorted and their
-    LCPs taken (the LCPs are written over the prefixes' buffer, which then
-    shrinks to them), then 3 bytes a key for the sweep, plus blocks of
-    ``_BLOCK`` entries. Duplicate keys count once, as :meth:`Trie.insert`
-    overwrites them.
+    Memory: 8 bytes a key, the prefixes, while they are filled, sorted and
+    their LCPs taken (the LCPs are written over the prefixes' buffer, which
+    then shrinks to them), then 3 bytes a key for the sweep, plus blocks of
+    ``_BLOCK`` entries: one block of keys while the prefixes are filled,
+    and temporaries of a few blocks in each step. Duplicate keys count
+    once, as :meth:`Trie.insert` overwrites them.
     """
     if not count:
         return TrieShape({}, {}, {})
-    ordered = _fill_prefixes(chunks, count)
+    ordered = _fill_prefixes(read, count)
     ordered.sort()
     padded, tie, tied = _prefix_lcps(ordered)
     if len(tie):
-        padded = _resolve_ties(chunks, padded, tie, tied)
+        padded = _resolve_ties(read, padded, tie, tied)
     return _sweep(padded)
 
 
@@ -338,10 +340,11 @@ PREFIX_NIBBLES = 2 * PREFIX_BYTES
 # 16**0 .. 16**15: an integer is at least as many of these as it has hex
 # digits (none for zero).
 _NIBBLE_POWERS = np.array([16**k for k in range(PREFIX_NIBBLES)], np.uint64)
-# Entries per block of the kernel's per-key passes. A block's temporaries
-# stay in cache (the sixteen passes of leading_zero_nibbles are about twice
-# as fast over blocks as over whole arrays at 1e7 values) and add a fixed
-# amount, not bytes a key, to the kernel's peak memory.
+# Keys the kernel reads at a time, and entries per block of its per-key
+# passes. A block's temporaries stay in cache (the sixteen passes of
+# leading_zero_nibbles are about twice as fast over blocks as over whole
+# arrays at 1e7 values) and add a fixed amount, not bytes a key, to the
+# kernel's peak memory: a block of keys is 1.3 MB.
 _BLOCK = 1 << 16
 
 
@@ -365,16 +368,22 @@ def _prefixes(keys: np.ndarray) -> np.ndarray:
     return keys[:, :PREFIX_BYTES].view(">u8")[:, 0]
 
 
-def _fill_prefixes(chunks: Iterable[np.ndarray], count: int) -> np.ndarray:
-    """The prefixes of the ``count`` keys in ``chunks``, in chunk order."""
+def _read_block(read: Callable[[int, int], np.ndarray], lo: int, hi: int) -> np.ndarray:
+    """``read(lo, hi)``, refused unless it has one row per key: numpy would
+    broadcast a single row into the block."""
+    block = read(lo, hi)
+    if block.shape != (hi - lo, ADDRESS_BYTES):
+        raise ValueError(f"read({lo}, {hi}) gave shape {block.shape}, "
+                         f"not {(hi - lo, ADDRESS_BYTES)}")
+    return block
+
+
+def _fill_prefixes(read: Callable[[int, int], np.ndarray], count: int) -> np.ndarray:
+    """The prefixes of keys 0 .. ``count - 1``, read a block at a time."""
     prefixes = np.empty(count, np.uint64)
-    filled = 0
-    for chunk in chunks:
-        prefixes[filled:filled + len(chunk)] = _prefixes(chunk)
-        filled += len(chunk)
-        del chunk  # not kept alive while the source draws the next one
-    if filled != count:
-        raise ValueError(f"chunks hold {filled} keys, not {count}")
+    for lo, hi in _blocks(count):
+        # no name holds the block, so it is freed before the next is read
+        prefixes[lo:hi] = _prefixes(_read_block(read, lo, hi))
     return prefixes
 
 
@@ -420,22 +429,21 @@ def _full_key_lcps(rows: np.ndarray) -> np.ndarray:
     return lcp
 
 
-def _resolve_ties(chunks: Iterable[np.ndarray], padded: np.ndarray,
+def _resolve_ties(read: Callable[[int, int], np.ndarray], padded: np.ndarray,
                   tie: np.ndarray, tied: np.ndarray) -> np.ndarray:
     """``padded`` with the LCPs at the tied positions ``tie`` (whose sorted
     prefixes are ``tied``) taken on the full keys, and without the LCPs of
     equal keys, so that each counts once.
 
-    Only the rows whose prefix is one of the tied ones are kept from
-    ``chunks``. In full-key order each tied group is a run of them, and its
-    adjacent pairs are the ties in order, the only adjacent rows sharing 16
-    nibbles or more.
+    Only the rows whose prefix is one of the tied ones are kept from the
+    blocks ``read`` gives again. In full-key order each tied group is a run
+    of them, and its adjacent pairs are the ties in order, the only
+    adjacent rows sharing 16 nibbles or more.
     """
     rows = []
-    for chunk in chunks:
-        prefixes = _prefixes(chunk)
-        at = np.searchsorted(tied, prefixes).clip(max=len(tied) - 1)
-        rows.append(chunk[tied[at] == prefixes])
+    for lo, hi in _blocks(len(padded) - 1):
+        block = read(lo, hi)
+        rows.append(block[np.isin(_prefixes(block), tied)])
     rows = np.sort(np.concatenate(rows).view(f"S{ADDRESS_BYTES}").ravel())
     full = _full_key_lcps(rows.view(np.uint8).reshape(-1, ADDRESS_BYTES))
     padded[tie + 1] = full[full >= PREFIX_NIBBLES]

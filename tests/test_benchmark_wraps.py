@@ -31,3 +31,5 @@ def test_traced_validate_tallies_every_harness_layer(tmp_path):
     for name in ("harness.run_trial", "addrgen.generate", "stats.compare",
                  "stats.chi_square_counts", "model.distribution"):
         assert tally.get(name, {}).get("calls", 0) >= 1, name
+    # each key drawn once: no block read twice, no tie pass on untied keys
+    assert child["trace"]["counters"]["addrgen.keys"] == 2 * 100 + 2 * 1000

@@ -32,6 +32,16 @@ def test_expected_path_length_1000():
     assert expected_path_length(1_000) == pytest.approx(3.19, abs=5e-3)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 10, *(10**e for e in range(2, 8)),
+                               3 * 10**8, 10**9, 10**12])
+def test_distribution_mean_is_the_published_sum_bit_for_bit(n):
+    """The report's model mean and ``expected_path_length`` are one sum,
+    in the same order as the formula's."""
+    published = sum(k * pmf(k, n) for k in range(1, MAX_PATH_LENGTH + 1))
+    assert distribution(ModelParams(n=n)).mean == published
+    assert expected_path_length(n) == published
+
+
 def test_pmf_domain_errors():
     with pytest.raises(ModelDomainError):
         pmf(0, 100)

@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pathlab
-from pathlab import addrgen, harness, trie
-from pathlab.harness import CHUNK_KEYS, UniformChunks
+from pathlab import addrgen, trie
 from pathlab.keyspace import from_nibbles, to_nibbles
 from pathlab.trie import Trie, TrieShape, leading_zero_nibbles, sorted_shape, streamed_shape
 from test_acceptance import _random_key_batch
@@ -268,15 +267,20 @@ def test_kernel_memory_stays_within_a_small_multiple_of_the_keys():
     assert peak <= 2.5 * keys.nbytes, peak / keys.nbytes
 
 
+def uniform_reader(seed: int):
+    """Reads of a ``uniform`` trial's keys, as the harness gives them."""
+    return lambda lo, hi: addrgen.generate(hi - lo, seed, "uniform", lo)
+
+
 def test_streamed_uniform_trial_peak_memory_per_key():
     """A streamed trial keeps 8-byte prefixes and 1-byte LCPs, not its
-    20-byte keys: 14.6 bytes a key at 200,000 keys, where a chunk of
-    ``CHUNK_KEYS`` drawn keys (1.3 MB) is still a seventh of the peak."""
-    streamed_shape(UniformChunks(1_000, 5), 1_000)  # numpy.random loads lazily
+    20-byte keys: 14.6 bytes a key at 200,000 keys, where a block of
+    ``trie._BLOCK`` drawn keys (1.3 MB) is still a seventh of the peak."""
+    streamed_shape(uniform_reader(5), 1_000)  # numpy.random loads lazily
     n = 200_000
     tracemalloc.start()
     try:
-        streamed_shape(UniformChunks(n, 5), n)
+        streamed_shape(uniform_reader(5), n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -399,57 +403,92 @@ def test_kernel_matches_trie_on_a_nest_39_levels_deep():
     assert_same_shape(keys)
 
 
-# -- chunked key sources and blocked passes --
+# -- range readers and blocked passes --
 
 
-@pytest.mark.parametrize("size", [CHUNK_KEYS - 1, CHUNK_KEYS, CHUNK_KEYS + 1, 2 * CHUNK_KEYS + 1])
+def reader_of(rows: np.ndarray):
+    return lambda lo, hi: rows[lo:hi]
+
+
+@pytest.mark.parametrize("size", [trie._BLOCK - 1, trie._BLOCK, trie._BLOCK + 1,
+                                  2 * trie._BLOCK + 1])
 def test_streamed_trial_matches_the_whole_key_array(size):
     keys = addrgen.generate(size, 3)
-    assert streamed_shape(UniformChunks(size, 3), size) == sorted_shape(keys)
+    assert streamed_shape(uniform_reader(3), size) == sorted_shape(keys)
 
 
-@pytest.mark.parametrize("chunk, block", [(64, 1 << 16), (64, 16), (50, 7)])
+@pytest.mark.parametrize("base, block", [(64, 1 << 16), (64, 16), (50, 7)])
 @pytest.mark.parametrize("offset", [-1, 0, 1, "2x+1"])
-def test_streamed_trial_matches_trie_around_the_chunk_size(monkeypatch, chunk, block, offset):
-    """Sizes one short of, at, one past and twice the chunk size plus one,
-    with chunks (and the kernel's blocks) small enough for the oracle."""
-    size = 2 * chunk + 1 if offset == "2x+1" else chunk + offset
-    monkeypatch.setattr(harness, "CHUNK_KEYS", chunk)
+def test_streamed_trial_matches_trie_around_the_chunk_size(monkeypatch, base, block, offset):
+    """Sizes one short of, at, one past and twice ``base`` plus one, small
+    enough for the oracle, read in one block or in blocks of 16 or 7 keys:
+    the sizes end a key before, at or after a block edge."""
+    size = 2 * base + 1 if offset == "2x+1" else base + offset
     monkeypatch.setattr(trie, "_BLOCK", block)
     keys = addrgen.generate(size, size)
-    got = streamed_shape(UniformChunks(size, size), size)
+    got = streamed_shape(uniform_reader(size), size)
     assert got == sorted_shape(keys) == oracle_shape([bytes(k) for k in keys])
 
 
-def test_tied_prefixes_split_across_two_chunks():
-    """A group of keys over one 8-byte prefix, with a duplicate, half in
-    each chunk: the second pass over the chunks finds every one of them."""
-    rng = np.random.default_rng(9)
+def tied_group_among(rng, others: int):
+    """Random keys and a group over one 8-byte prefix, with a duplicate,
+    shuffled together; the group's prefix."""
     prefix = rng.bytes(8)
     group = [prefix + rng.bytes(12) for _ in range(6)]
     group += [diverging_at(group[0], lcp, rng.bytes(20)) for lcp in (16, 23, 39)]
     group.append(group[3])
-    keys = _random_key_batch(rng, 30) + group
+    keys = _random_key_batch(rng, others) + group
     rng.shuffle(keys)
+    return keys, prefix
+
+
+def test_tied_prefixes_split_across_two_chunks(monkeypatch):
+    """A tied group, half of it in each block: the second read of the
+    blocks finds every one of them."""
+    keys, prefix = tied_group_among(np.random.default_rng(9), 30)
     rows = np.frombuffer(b"".join(keys), np.uint8).reshape(-1, 20)
-    first = rows[:len(rows) // 2]
-    assert 0 < sum(bytes(k[:8]) == prefix for k in first) < len(group)
-    got = streamed_shape([first, rows[len(first):]], len(rows))
-    assert got == oracle_shape(keys)
+    monkeypatch.setattr(trie, "_BLOCK", len(rows) // 2)
+    first = rows[:trie._BLOCK]
+    assert 0 < sum(bytes(k[:8]) == prefix for k in first) < 10  # the group's 10 keys
+    assert streamed_shape(reader_of(rows), len(rows)) == oracle_shape(keys)
+
+
+@pytest.mark.parametrize("tied", [True, False])
+def test_blocks_are_read_again_only_for_ties(monkeypatch, tied):
+    """The fill reads each block once; with tied prefixes the tie pass reads
+    the same ranges again, and without them nothing is read twice."""
+    rng = np.random.default_rng(10)
+    keys = tied_group_among(rng, 30)[0] if tied else [rng.bytes(20) for _ in range(40)]
+    rows = np.frombuffer(b"".join(keys), np.uint8).reshape(-1, 20)
+    monkeypatch.setattr(trie, "_BLOCK", 16)
+    reads = []
+
+    def read(lo, hi):
+        reads.append((lo, hi))
+        return rows[lo:hi]
+
+    assert streamed_shape(read, len(rows)) == oracle_shape(keys)
+    fill = [(0, 16), (16, 32), (32, 40)]
+    assert reads == (fill * 2 if tied else fill)
 
 
 def test_streamed_shape_rejects_a_short_source():
-    with pytest.raises(ValueError, match="chunks hold 3 keys, not 4"):
-        streamed_shape([np.zeros((3, 20), np.uint8)], 4)
+    with pytest.raises(ValueError, match=r"read\(0, 4\) gave shape \(3, 20\)"):
+        streamed_shape(lambda lo, hi: np.zeros((3, 20), np.uint8), 4)
+
+
+def test_streamed_shape_rejects_a_one_row_read():
+    """numpy would broadcast the row's prefix over the whole block."""
+    with pytest.raises(ValueError, match=r"read\(0, 4\) gave shape \(1, 20\)"):
+        streamed_shape(lambda lo, hi: np.zeros((1, 20), np.uint8), 4)
 
 
 @settings(max_examples=60, deadline=None)
-@given(lcp_sequences, st.integers(1, 9), st.integers(1, 9))
-def test_kernel_matches_trie_across_chunks_and_blocks(lcps, chunk, block):
-    """LCP runs, branches and tied groups that straddle the kernel's blocks
-    and the source's chunks."""
+@given(lcp_sequences, st.integers(1, 9))
+def test_kernel_matches_trie_across_chunks_and_blocks(lcps, block):
+    """LCP runs, branches and tied groups that straddle the kernel's
+    blocks, read from keys in reverse order."""
     keys = keys_with_lcps(lcps)
     rows = np.frombuffer(b"".join(keys), np.uint8).reshape(-1, 20)[::-1]
-    chunks = [rows[i:i + chunk] for i in range(0, len(rows), chunk)]
     with mock.patch.object(trie, "_BLOCK", block):
-        assert streamed_shape(chunks, len(rows)) == oracle_shape(keys)
+        assert streamed_shape(reader_of(rows), len(rows)) == oracle_shape(keys)

@@ -9,19 +9,21 @@ each step as the median of the bench's ``repeats`` calls and records
 ``ru_maxrss_mb``, its peak RSS after all of them. The results go into the
 bench's file under ``runs[NAME]``, with the machine that measured them;
 other labels already in the file are kept, so a parent and a change can
-share one file. ``--sizes`` replaces the bench's sizes.
+share one file. ``--sizes`` replaces the bench's sizes; the label's rows
+at other sizes are kept, so two labels can be measured alternately, one
+size at a time.
 
 ``kernel`` (1e5, 1e6 and 1e7 uniform keys, 3 calls each), into
-``BENCH_sorted_shape.json``. The keys are a ``uniform`` trial's
-(``harness.UniformChunks``, seed 1), streamed a chunk at a time as the
-harness streams them, so no step holds them whole:
+``BENCH_sorted_shape.json``. The keys are a ``uniform`` trial's (seed 1),
+read by the kernel a block at a time from ``addrgen.generate`` as the
+harness gives them, so no step holds them whole:
 
 - ``streamed_shape_s``: the whole ``trie.streamed_shape`` kernel, key
   generation included
 - ``fill_s``, ``sort_s``, ``lcp_s``, ``sweep_s``: the kernel's steps, run in
-  order: drawing the keys into the 8-byte prefix array, sorting it in
-  place, the adjacent LCPs (``trie._prefix_lcps``) and the lcp-interval
-  sweep (``trie._sweep``)
+  order: drawing the keys into the 8-byte prefix array
+  (``trie._fill_prefixes``), sorting it in place, the adjacent LCPs
+  (``trie._prefix_lcps``) and the lcp-interval sweep (``trie._sweep``)
 - ``kernel_peak_bytes_per_key``: the whole kernel's tracemalloc peak over
   the key count
 - ``validate_s``, ``validate_maxrss_mb``: a one-trial ``pathlab validate``
@@ -87,16 +89,18 @@ def measure_kernel(size: int, repeats: int) -> dict:
     """Time one size in this process; ``pathlab`` must be importable."""
     import tracemalloc
 
-    from pathlab import harness, trie
+    from pathlab import addrgen, trie
 
-    chunks = harness.UniformChunks(size, 1)
+    def read(lo, hi):
+        return addrgen.generate(hi - lo, 1, "uniform", lo)
+
     row = {}
     row["streamed_shape_s"], _ = _median_time(
-        lambda: trie.streamed_shape(chunks, size), repeats)
+        lambda: trie.streamed_shape(read, size), repeats)
     steps = {"fill_s": [], "sort_s": [], "lcp_s": [], "sweep_s": []}
     for _ in range(repeats):
         t0 = time.perf_counter()
-        ordered = trie._fill_prefixes(chunks, size)
+        ordered = trie._fill_prefixes(read, size)
         t1 = time.perf_counter()
         ordered.sort()
         t2 = time.perf_counter()
@@ -112,7 +116,7 @@ def measure_kernel(size: int, repeats: int) -> dict:
     row.update((name, statistics.median(times)) for name, times in steps.items())
     tracemalloc.start()
     try:
-        trie.streamed_shape(chunks, size)
+        trie.streamed_shape(read, size)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -194,7 +198,7 @@ BENCHES = {
         "description": (
             "tools/bench_layers.py kernel: per size, a fresh process times "
             "trie.streamed_shape and its steps (fill, sort, lcp, sweep) on a "
-            "uniform trial's keys streamed in chunks (medians of `repeats` "
+            "uniform trial's keys read a block at a time (medians of `repeats` "
             "calls), the kernel's tracemalloc peak over the key count and "
             "ru_maxrss; validate_*: a one-trial `pathlab validate` in its own "
             "fresh process, wall time and ru_maxrss (the only keys of a "
@@ -286,6 +290,7 @@ def main(argv=None) -> int:
                       "numpy": np.__version__, "platform": platform.platform()}
     results = json.loads(bench["out"].read_text()) if bench["out"].exists() else {"runs": {}}
     results["description"] = bench["description"]
+    run["sizes"] = {**results["runs"].get(args.label, {}).get("sizes", {}), **run["sizes"]}
     results["runs"][args.label] = run
     bench["out"].write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
     return 0
