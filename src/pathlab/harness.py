@@ -3,8 +3,9 @@
 Each trial's keys are measured by the sorted-LCP kernel
 :func:`pathlab.trie.streamed_shape`, which gives the depths, node counts
 and level census the pointer :class:`pathlab.trie.Trie` would, without
-building it; the ``Trie`` stays as the paper's instrument and the
-oracle the kernel is tested against. The kernel reads a ``uniform``
+building it, as the :class:`pathlab.trie.TrieShape` that is the trial's
+result; the ``Trie`` stays as the paper's instrument and the oracle the
+kernel is tested against. The kernel reads a ``uniform``
 trial's keys a block at a time, each block drawn from its place in the
 trial's stream, and keeps only their 8-byte prefixes, so no trial holds
 its keys: its memory is about 8 bytes a key. A ``crypto`` trial derives
@@ -43,7 +44,7 @@ from functools import reduce
 
 from . import addrgen, model, stats
 from .keyspace import ADDRESS_BYTES
-from .trie import PREFIX_BYTES, sorted_shape, streamed_shape
+from .trie import PREFIX_BYTES, TrieShape, sorted_shape, streamed_shape
 
 SCHEMA_VERSION = 1
 
@@ -138,13 +139,6 @@ def trial_seed(master_seed: int, size: int, trial: int) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    divergence_histogram: stats.PathLengthHistogram
-    node_count_histogram: stats.PathLengthHistogram
-    level_census: dict[int, dict[str, int]]
-
-
 @dataclass
 class SizeResult:
     size: int
@@ -167,21 +161,16 @@ class ExperimentReport:
     results: list[SizeResult]
 
 
-def run_trial(size: int, trial: int, cfg: ExperimentConfig) -> TrialResult:
+def run_trial(size: int, trial: int, cfg: ExperimentConfig) -> TrieShape:
+    """Measure trial ``trial`` of ``size`` keys: the kernel's ``TrieShape``."""
     seed = trial_seed(cfg.master_seed, size, trial)
     if cfg.mode == "uniform":
         # ``generate`` is looked up on the module at each call, so that a
         # wrapper installed on it sees every block the kernel reads
-        shape = streamed_shape(
+        return streamed_shape(
             lambda lo, hi: addrgen.generate(hi - lo, seed, "uniform", lo), size)
-    else:
-        # derived once: the kernel's pass over tied prefixes reads them again
-        shape = sorted_shape(addrgen.generate(size, seed, cfg.mode))
-    return TrialResult(
-        divergence_histogram=stats.PathLengthHistogram(shape.depths),
-        node_count_histogram=stats.PathLengthHistogram(shape.node_counts),
-        level_census=shape.census,
-    )
+    # derived once: the kernel's pass over tied prefixes reads them again
+    return sorted_shape(addrgen.generate(size, seed, cfg.mode))
 
 
 TABLE_ROWS = 6
@@ -198,7 +187,7 @@ def table_span(probabilities: dict[int, float]) -> list[int]:
     return [k for k in range(start, start + TABLE_ROWS) if k in probabilities]
 
 
-def _aggregate(size: int, trials: list[TrialResult]) -> SizeResult:
+def _aggregate(size: int, trials: list[TrieShape]) -> SizeResult:
     pooled = reduce(stats.merge, (t.divergence_histogram for t in trials))
     pooled_nodes = reduce(stats.merge, (t.node_count_histogram for t in trials))
     trial_means = [t.divergence_histogram.mean() for t in trials]
@@ -248,14 +237,14 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _pool_trial(size: int, trial: int, cfg: ExperimentConfig) -> TrialResult:
+def _pool_trial(size: int, trial: int, cfg: ExperimentConfig) -> TrieShape:
     # The pool pickles the function it maps; this one looks ``run_trial``
     # up when called, so a replacement installed before the fork (a
     # tracing wrapper, a test's patch) runs in the workers too.
     return run_trial(size, trial, cfg)
 
 
-def _run_trials(pairs: list[tuple[int, int]], cfg: ExperimentConfig) -> list[TrialResult]:
+def _run_trials(pairs: list[tuple[int, int]], cfg: ExperimentConfig) -> list[TrieShape]:
     """``run_trial`` on each (size, trial) pair, results in ``pairs`` order."""
     workers = min(_cpu_count(), len(pairs)) if cfg.mode == "crypto" else 1
     memory = _physical_memory()

@@ -30,7 +30,8 @@ class InsufficientBinsError(StatsError):
 
 @dataclass(frozen=True)
 class PathLengthHistogram:
-    """Counts of leaves per path length."""
+    """Counts of keys per path length: a divergence depth or a root-to-leaf
+    node count."""
 
     counts: Mapping[int, int]
 

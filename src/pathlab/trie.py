@@ -12,14 +12,14 @@ value slots stay empty; the slot exists only for structural fidelity.
 ``level_census`` and :func:`check_invariants` are loops over it.
 
 :func:`streamed_shape` measures the same depths, node counts and
-census for a key set without building the trie, and without holding the
-keys: it reads them a block at a time and keeps each key's first 8 bytes,
-sorted as unsigned 64-bit integers, turning to full 20-byte keys only for
-the rare groups whose prefixes tie. :func:`sorted_shape` is its call on
-one key array. :class:`Trie` is the paper's instrument and the oracle the
-kernel is tested against. Both give the census in one format: nibble
-depth -> ``{"branches": …, "extensions": …, "leaves": …}``
-(``CENSUS_KINDS``), ascending.
+census for a key set, as a :class:`TrieShape`, without building the trie
+and without holding the keys: it reads them a block at a time and keeps
+each key's first 8 bytes, sorted as unsigned 64-bit integers, turning to
+full 20-byte keys only for the rare groups whose prefixes tie.
+:func:`sorted_shape` is its call on one key array. :class:`Trie` is the
+paper's instrument and the oracle the kernel is tested against. Both
+give the census in one format: nibble depth -> ``{"branches": …,
+"extensions": …, "leaves": …}`` (``CENSUS_KINDS``), ascending.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .keyspace import (
     longest_common_prefix,
     to_nibbles,
 )
+from .stats import PathLengthHistogram
 
 
 @dataclass(slots=True)
@@ -263,17 +264,18 @@ def check_invariants(trie: Trie) -> None:
 
 
 class TrieShape(NamedTuple):
-    """What :class:`Trie` measures on a key set, without the trie.
+    """What :class:`Trie` measures on a key set, without the trie: a
+    trial's result.
 
-    depths: divergence depth -> number of keys (``leaf_metrics``).
-    node_counts: root-to-leaf node count -> number of keys.
-    census: nibble depth -> ``CENSUS_KINDS`` counts, ascending, depths
-        without nodes left out (``level_census``).
+    divergence_histogram: keys per divergence depth (``leaf_metrics``).
+    node_count_histogram: keys per root-to-leaf node count.
+    level_census: nibble depth -> ``CENSUS_KINDS`` counts, ascending,
+        depths without nodes left out (``level_census``).
     """
 
-    depths: dict[int, int]
-    node_counts: dict[int, int]
-    census: dict[int, dict[str, int]]
+    divergence_histogram: PathLengthHistogram
+    node_count_histogram: PathLengthHistogram
+    level_census: dict[int, dict[str, int]]
 
 
 def sorted_shape(keys: np.ndarray) -> TrieShape:
@@ -289,8 +291,8 @@ def streamed_shape(read: Callable[[int, int], np.ndarray], count: int) -> TrieSh
     """Measure the trie of ``count`` keys, in any order, from the longest
     common prefixes (LCPs) of lexicographically adjacent keys. ``read(lo,
     hi)`` gives keys ``lo`` to ``hi - 1`` as an ``(hi - lo, 20)`` uint8
-    array, and the same keys on every call; a read of another shape raises
-    ``ValueError``.
+    array, and the same keys on every call; a read of another shape, in
+    either pass, raises ``ValueError``.
 
     The kernel keeps each key's first 8 bytes, an unsigned 64-bit integer,
     and no full key: it reads the keys ``_BLOCK`` at a time into one prefix
@@ -326,12 +328,12 @@ def streamed_shape(read: Callable[[int, int], np.ndarray], count: int) -> TrieSh
     once, as :meth:`Trie.insert` overwrites them.
     """
     if not count:
-        return TrieShape({}, {}, {})
+        return TrieShape(_histogram([]), _histogram([]), {})
     ordered = _fill_prefixes(read, count)
     ordered.sort()
-    padded, tie, tied = _prefix_lcps(ordered)
-    if len(tie):
-        padded = _resolve_ties(read, padded, tie, tied)
+    padded, tied = _prefix_lcps(ordered)
+    if len(tied):
+        padded = _resolve_ties(read, padded, tied)
     return _sweep(padded)
 
 
@@ -387,35 +389,34 @@ def _fill_prefixes(read: Callable[[int, int], np.ndarray], count: int) -> np.nda
     return prefixes
 
 
-def _prefix_lcps(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _prefix_lcps(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nibble LCPs of adjacent sorted prefixes, taken a block at a time and
     written over the front of ``ordered``, a ``uint64`` array that owns its
     data and that no view reads: it is consumed.
 
     Returns ``padded``, whose entry ``j`` is the LCP between keys ``j - 1``
     and ``j`` (-1 past either end), held in the first ``n + 1`` bytes of
-    ``ordered``'s buffer, shrunk to them; the ``k`` of the adjacent pairs
-    ``(k, k + 1)`` whose prefixes tie (their LCP is 16 here and at least 16
-    on the full keys); and the prefixes of those ``k``.
+    ``ordered``'s buffer, shrunk to them; and the prefixes that tie with
+    the next one, one entry per such pair. A tie is an LCP of 16 in
+    ``padded``, the count for a zero xor only, and at least 16 on the full
+    keys.
     """
     n = len(ordered)
     out = ordered.view(np.int8)
-    ties, tied = [np.empty(0, np.intp)], [np.empty(0, np.uint64)]
+    tied = [np.empty(0, np.uint64)]
     block = np.empty(min(_BLOCK, n), np.uint64)
     for i, j in _blocks(n - 1):
         # Block [i, j) writes bytes i+1..j, which lie in prefixes below j:
         # no later block reads them, and this one has read them into xor.
         xor = np.bitwise_xor(ordered[i + 1:j + 1], ordered[i:j], out=block[:j - i])
-        tie = np.flatnonzero(xor == 0)
-        ties.append(tie + i)
-        tied.append(ordered[i:j][tie])
+        tied.append(ordered[i:j][xor == 0])
         out[i + 1:j + 1] = leading_zero_nibbles(xor)
     out[0] = out[n] = -1
     del out
     # No view of the buffer is alive, so a shrink that moves it leaves
     # nothing pointing at the old one.
     ordered.resize(-(-(n + 1) // PREFIX_BYTES), refcheck=False)
-    return ordered.view(np.int8)[:n + 1], np.concatenate(ties), np.concatenate(tied)
+    return ordered.view(np.int8)[:n + 1], np.concatenate(tied)
 
 
 def _full_key_lcps(rows: np.ndarray) -> np.ndarray:
@@ -430,23 +431,23 @@ def _full_key_lcps(rows: np.ndarray) -> np.ndarray:
 
 
 def _resolve_ties(read: Callable[[int, int], np.ndarray], padded: np.ndarray,
-                  tie: np.ndarray, tied: np.ndarray) -> np.ndarray:
-    """``padded`` with the LCPs at the tied positions ``tie`` (whose sorted
-    prefixes are ``tied``) taken on the full keys, and without the LCPs of
-    equal keys, so that each counts once.
+                  tied: np.ndarray) -> np.ndarray:
+    """``padded`` with its ties, the LCPs of ``PREFIX_NIBBLES``, taken on
+    the full keys, and without the LCPs of equal keys, so that each counts
+    once. ``tied`` holds the prefixes of the ties.
 
     Only the rows whose prefix is one of the tied ones are kept from the
-    blocks ``read`` gives again. In full-key order each tied group is a run
-    of them, and its adjacent pairs are the ties in order, the only
-    adjacent rows sharing 16 nibbles or more.
+    blocks :func:`_read_block` gives again. In full-key order each tied
+    group is a run of them, and its adjacent pairs are the ties in order,
+    the only adjacent rows sharing 16 nibbles or more.
     """
     rows = []
     for lo, hi in _blocks(len(padded) - 1):
-        block = read(lo, hi)
+        block = _read_block(read, lo, hi)
         rows.append(block[np.isin(_prefixes(block), tied)])
     rows = np.sort(np.concatenate(rows).view(f"S{ADDRESS_BYTES}").ravel())
     full = _full_key_lcps(rows.view(np.uint8).reshape(-1, ADDRESS_BYTES))
-    padded[tie + 1] = full[full >= PREFIX_NIBBLES]
+    padded[padded == PREFIX_NIBBLES] = full[full >= PREFIX_NIBBLES]
     return padded[padded != ADDRESS_NIBBLES]
 
 
@@ -460,8 +461,8 @@ def _counts(blocks) -> list[int]:
     return counts.tolist()
 
 
-def _histogram(counts: list[int]) -> dict[int, int]:
-    return {k: c for k, c in enumerate(counts) if c}
+def _histogram(counts: list[int]) -> PathLengthHistogram:
+    return PathLengthHistogram({k: c for k, c in enumerate(counts) if c})
 
 
 def _branch_ranges(padded: np.ndarray, reach: np.ndarray, d: int):

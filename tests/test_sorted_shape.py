@@ -1,6 +1,7 @@
 """Differential tests of the sorted-LCP kernel against the Trie oracle."""
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import pathlab
 from pathlab import addrgen, trie
 from pathlab.keyspace import from_nibbles, to_nibbles
+from pathlab.stats import PathLengthHistogram
 from pathlab.trie import Trie, TrieShape, leading_zero_nibbles, sorted_shape, streamed_shape
 from test_acceptance import _random_key_batch
 
@@ -23,11 +25,10 @@ def oracle_shape(keys) -> TrieShape:
     trie = Trie()
     for k in keys:
         trie.insert(k, b"")
-    depths, node_counts = {}, {}
-    for m in trie.leaf_metrics().values():
-        depths[m.divergence_depth] = depths.get(m.divergence_depth, 0) + 1
-        node_counts[m.node_count] = node_counts.get(m.node_count, 0) + 1
-    return TrieShape(depths, node_counts, trie.level_census())
+    metrics = trie.leaf_metrics().values()
+    return TrieShape(PathLengthHistogram.from_depths(m.divergence_depth for m in metrics),
+                     PathLengthHistogram.from_depths(m.node_count for m in metrics),
+                     trie.level_census())
 
 
 def kernel_shape(keys) -> TrieShape:
@@ -36,14 +37,15 @@ def kernel_shape(keys) -> TrieShape:
 
 def assert_same_shape(keys):
     got, want = kernel_shape(keys), oracle_shape(keys)
-    assert got.depths == want.depths
-    assert got.node_counts == want.node_counts
-    assert got.census == want.census
+    assert got.divergence_histogram == want.divergence_histogram
+    assert got.node_count_histogram == want.node_count_histogram
+    assert got.level_census == want.level_census
     # insertion order of the census is part of the report's pooled census
-    assert list(got.census) == sorted(got.census)
+    assert list(got.level_census) == sorted(got.level_census)
     # the report is serialised with json, which takes no numpy scalars
-    numbers = [*got.depths.items(), *got.node_counts.items(),
-               *((d, *level.values()) for d, level in got.census.items())]
+    numbers = [*got.divergence_histogram.counts.items(),
+               *got.node_count_histogram.counts.items(),
+               *((d, *level.values()) for d, level in got.level_census.items())]
     assert all(type(x) is int for row in numbers for x in row)
 
 
@@ -95,11 +97,13 @@ def test_kernel_matches_trie_on_one_or_two_keys(keys):
 
 def test_single_key_is_a_root_leaf():
     shape = kernel_shape([bytes(range(20))])
-    assert shape == TrieShape({0: 1}, {1: 1}, {0: {"branches": 0, "extensions": 0, "leaves": 1}})
+    assert shape == TrieShape(PathLengthHistogram({0: 1}), PathLengthHistogram({1: 1}),
+                              {0: {"branches": 0, "extensions": 0, "leaves": 1}})
 
 
 def test_empty_key_set():
-    assert sorted_shape(np.zeros((0, 20), np.uint8)) == oracle_shape([]) == TrieShape({}, {}, {})
+    empty = TrieShape(PathLengthHistogram({}), PathLengthHistogram({}), {})
+    assert sorted_shape(np.zeros((0, 20), np.uint8)) == oracle_shape([]) == empty
 
 
 @pytest.mark.parametrize(
@@ -118,7 +122,7 @@ def test_duplicate_keys_count_once_like_trie_overwrite():
     rng = np.random.default_rng(7)
     unique = _random_key_batch(rng, 30)
     with_repeats = unique + unique[:10] + [unique[0]] * 3
-    assert sum(kernel_shape(with_repeats).depths.values()) == 30
+    assert kernel_shape(with_repeats).divergence_histogram.total == 30
     assert kernel_shape(with_repeats) == kernel_shape(unique) == oracle_shape(with_repeats)
     assert kernel_shape([unique[0]] * 4) == kernel_shape([unique[0]])
 
@@ -177,7 +181,7 @@ def test_adjacent_lcp_at_the_prefix_boundary(lcp):
     rng = np.random.default_rng(lcp)
     base, tail = (rng.bytes(20) for _ in range(2))
     pair = [base, diverging_at(base, lcp, tail)]
-    assert kernel_shape(pair).depths == {lcp + 1: 2}
+    assert kernel_shape(pair).divergence_histogram.counts == {lcp + 1: 2}
     assert_same_shape(pair + _random_key_batch(rng, 40))
 
 
@@ -204,7 +208,7 @@ def test_duplicates_inside_a_tied_group_count_once():
     group = [prefix + rng.bytes(12) for _ in range(4)]
     others = _random_key_batch(rng, 20)
     keys = others + group + [group[1]] * 3 + [group[0], group[3]]
-    assert sum(kernel_shape(keys).depths.values()) == 24
+    assert kernel_shape(keys).divergence_histogram.total == 24
     assert kernel_shape(keys) == kernel_shape(others + group)
     assert_same_shape(keys)
 
@@ -481,6 +485,34 @@ def test_streamed_shape_rejects_a_one_row_read():
     """numpy would broadcast the row's prefix over the whole block."""
     with pytest.raises(ValueError, match=r"read\(0, 4\) gave shape \(1, 20\)"):
         streamed_shape(lambda lo, hi: np.zeros((1, 20), np.uint8), 4)
+
+
+@pytest.mark.parametrize("rows_given, shape", [
+    (lambda lo, hi: slice(lo, hi - 1), "(11, 20)"),
+    (lambda lo, hi: slice(lo, lo + 1), "(1, 20)"),
+], ids=["short", "one-row"])
+def test_streamed_shape_checks_the_reads_of_the_tie_pass(rows_given, shape):
+    """Three keys over one 8-byte prefix, two of them at an LCP of 18
+    nibbles and the third at 16, the last row one of the two: the fill
+    reads whole blocks, and the tie pass gets a short or a one-row read.
+    Unchecked, the short read gives depths ``{17: 3}`` for the tied keys
+    in place of ``{17: 1, 19: 2}``."""
+    rng = np.random.default_rng(11)
+    base = rng.bytes(20)
+    keys = [rng.bytes(20) for _ in range(9)]
+    keys += [diverging_at(base, 16, rng.bytes(20)), base, diverging_at(base, 18, rng.bytes(20))]
+    rows = np.frombuffer(b"".join(keys), np.uint8).reshape(-1, 20)
+    reads = []
+
+    def read(lo, hi):
+        reads.append((lo, hi))
+        return rows[rows_given(lo, hi) if len(reads) > 1 else slice(lo, hi)]
+
+    assert streamed_shape(reader_of(rows), len(rows)) == oracle_shape(keys)
+    with pytest.raises(ValueError, match=re.escape(f"read(0, 12) gave shape {shape}, "
+                                                   "not (12, 20)")):
+        streamed_shape(read, len(rows))
+    assert reads == [(0, 12), (0, 12)]
 
 
 @settings(max_examples=60, deadline=None)

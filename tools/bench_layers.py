@@ -104,7 +104,7 @@ def measure_kernel(size: int, repeats: int) -> dict:
         t1 = time.perf_counter()
         ordered.sort()
         t2 = time.perf_counter()
-        # indexed, not unpacked: older checkouts return fewer values
+        # indexed, not unpacked: other checkouts return a different number
         padded = trie._prefix_lcps(ordered)[0]
         t3 = time.perf_counter()
         del ordered
