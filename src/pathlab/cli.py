@@ -6,8 +6,9 @@ tests, written to stdout or to ``--out``; ``simulate`` defaults to the
 JSON report, ``validate`` to markdown), ``tables`` (reference-table
 reproduction). ``--format`` takes the names in ``pathlab.report.FORMATS``:
 ``md``, ``csv`` and ``json``. ``crypto`` trials run on a pool of forked
-processes, one per available CPU, and ``uniform`` trials serially
-(``pathlab.harness``); no option chooses this.
+processes, one per available CPU and no more than physical memory holds,
+and ``uniform`` trials serially (``pathlab.harness`` says why); no option
+chooses this.
 ``simulate`` and ``validate`` still accept a hidden ``--jobs N`` and
 ignore it, so existing command lines keep working.
 

@@ -72,7 +72,6 @@ def model_query(n: int, fmt: str = "md") -> str:
     """Render the analytic distribution and summary statistics for n keys."""
     _check_format(fmt)
     dist = model.distribution(model.ModelParams(n=n))
-    expected = dist.mean
     ratio = model.asymptotic_ratio(n) if n >= 2 else None
     collision = collision_probability(n)
 
@@ -81,7 +80,7 @@ def model_query(n: int, fmt: str = "md") -> str:
             "n": n,
             "k_max": model.MAX_PATH_LENGTH,
             "pmf": {str(k): p for k, p in sorted(dist.probabilities.items())},
-            "expected_path_length": expected,
+            "expected_path_length": dist.mean,
             "mode": dist.mode,
             "asymptotic_ratio": ratio,
             "collision_probability": collision,
@@ -97,24 +96,21 @@ def model_query(n: int, fmt: str = "md") -> str:
         [("Path Length", "path_length"), ("Probability", "probability")],
         [(str(k), _f6(p)) for k, p in visible], fmt,
     )
+    # (markdown label, CSV name, value) of each summary line
+    summary = [("Expected path length", "expected_path_length", _f6(dist.mean)),
+               ("Mode", "mode", str(dist.mode))]
+    if ratio is not None:
+        summary.append(("Ratio to log16(n)", "asymptotic_ratio", _f6(ratio)))
+    summary.append(("Collision probability", "collision_probability", f"{collision:.6e}"))
 
     if fmt == "csv":
         lines = [table, "", "metric,value"]
-        lines.append(f"expected_path_length,{_f6(expected)}")
-        lines.append(f"mode,{dist.mode}")
-        if ratio is not None:
-            lines.append(f"asymptotic_ratio,{_f6(ratio)}")
-        lines.append(f"collision_probability,{collision:.6e}")
+        lines += [f"{name},{value}" for _, name, value in summary]
         lines.append(f"note,{PUBLISHED_FORMULA_NOTE}")
-        return "\n".join(lines) + "\n"
-
-    lines = [f"# Path-length model for n = {n}", "", table, ""]
-    lines.append(f"- Expected path length: {_f6(expected)}")
-    lines.append(f"- Mode: {dist.mode}")
-    if ratio is not None:
-        lines.append(f"- Ratio to log16(n): {_f6(ratio)}")
-    lines.append(f"- Collision probability: {collision:.6e}")
-    lines.append(f"- {PUBLISHED_FORMULA_NOTE}")
+    else:
+        lines = [f"# Path-length model for n = {n}", "", table, ""]
+        lines += [f"- {label}: {value}" for label, _, value in summary]
+        lines.append(f"- {PUBLISHED_FORMULA_NOTE}")
     return "\n".join(lines) + "\n"
 
 
@@ -211,34 +207,30 @@ def reproduce_tables(out_dir: str | Path, master_seed: int = 0,
     report = run_experiment(cfg)
     paths = []
 
-    for i, r in enumerate(report.results, start=1):
-        path = out / f"table{i}_path_lengths_{r.size}.csv"
-        path.write_text(_comparison_table(r.table_rows, "csv") + "\n")
+    def write(name: str, table: str) -> None:
+        path = out / name
+        path.write_text(table + "\n")
         paths.append(path)
 
-    lines = ["number_of_addresses,theoretical_avg,experimental_avg,difference"]
-    for r in report.results:
-        theo = r.model_distribution.mean
-        exp = r.avg_divergence_depth
-        lines.append(f"{r.size},{_f2(theo)},{_f2(exp)},{_f2(abs(theo - exp))}")
-    path = out / "table5_average_path_lengths.csv"
-    path.write_text("\n".join(lines) + "\n")
-    paths.append(path)
-
-    lines = [
-        "number_of_addresses,chi_square_paper,p_value_paper,"
-        "chi_square_counts,dof_counts,p_value_counts"
-    ]
-    for r in report.results:
-        lines.append(
-            f"{r.size},{_f6(r.chi_square_paper.statistic)},"
-            f"{r.chi_square_paper.p_value:.4f},"
-            f"{_f6(r.chi_square_counts.statistic)},"
-            f"{r.chi_square_counts.dof},"
-            f"{r.chi_square_counts.p_value:.6e}"
-        )
-    path = out / "table6_chi_square.csv"
-    path.write_text("\n".join(lines) + "\n")
-    paths.append(path)
-
+    for i, r in enumerate(report.results, start=1):
+        write(f"table{i}_path_lengths_{r.size}.csv", _comparison_table(r.table_rows, "csv"))
+    write("table5_average_path_lengths.csv", _table(
+        [("Number of Addresses", "number_of_addresses"),
+         ("Theoretical Avg.", "theoretical_avg"),
+         ("Experimental Avg.", "experimental_avg"),
+         ("Difference", "difference")],
+        [(str(r.size), _f2(r.model_distribution.mean), _f2(r.avg_divergence_depth),
+          _f2(abs(r.model_distribution.mean - r.avg_divergence_depth)))
+         for r in report.results], "csv"))
+    write("table6_chi_square.csv", _table(
+        [("Number of Addresses", "number_of_addresses"),
+         ("Chi-Square (probability basis)", "chi_square_paper"),
+         ("p (probability basis)", "p_value_paper"),
+         ("Chi-Square (count basis)", "chi_square_counts"),
+         ("dof (count basis)", "dof_counts"),
+         ("p (count basis)", "p_value_counts")],
+        [(str(r.size), _f6(r.chi_square_paper.statistic),
+          f"{r.chi_square_paper.p_value:.4f}", _f6(r.chi_square_counts.statistic),
+          str(r.chi_square_counts.dof), f"{r.chi_square_counts.p_value:.6e}")
+         for r in report.results], "csv"))
     return paths

@@ -279,11 +279,8 @@ class TrieShape(NamedTuple):
 
 
 def sorted_shape(keys: np.ndarray) -> TrieShape:
-    """Measure the trie of ``keys``, an ``(n, 20)`` uint8 array: the call of
-    :func:`streamed_shape` that reads slices of it."""
-    keys = np.ascontiguousarray(keys, dtype=np.uint8)
-    if keys.ndim != 2 or keys.shape[1] != ADDRESS_BYTES:
-        raise ValueError(f"keys must be an (n, {ADDRESS_BYTES}) array, got {keys.shape}")
+    """Measure the trie of ``keys``, an ``(n, 20)`` uint8 array, through a
+    reader of its slices."""
     return streamed_shape(lambda lo, hi: keys[lo:hi], len(keys))
 
 
@@ -291,8 +288,8 @@ def streamed_shape(read: Callable[[int, int], np.ndarray], count: int) -> TrieSh
     """Measure the trie of ``count`` keys, in any order, from the longest
     common prefixes (LCPs) of lexicographically adjacent keys. ``read(lo,
     hi)`` gives keys ``lo`` to ``hi - 1`` as an ``(hi - lo, 20)`` uint8
-    array, and the same keys on every call; a read of another shape, in
-    either pass, raises ``ValueError``.
+    array, and the same keys on every call; a read of another shape or
+    dtype, in either pass, raises ``ValueError``.
 
     The kernel keeps each key's first 8 bytes, an unsigned 64-bit integer,
     and no full key: it reads the keys ``_BLOCK`` at a time into one prefix
@@ -371,12 +368,14 @@ def _prefixes(keys: np.ndarray) -> np.ndarray:
 
 
 def _read_block(read: Callable[[int, int], np.ndarray], lo: int, hi: int) -> np.ndarray:
-    """``read(lo, hi)``, refused unless it has one row per key: numpy would
-    broadcast a single row into the block."""
+    """``read(lo, hi)``, refused unless it is one uint8 row of 20 bytes per
+    key: the one check of the keys the kernel reads. numpy would broadcast a
+    single row into the block, and read another dtype's bytes as keys."""
     block = read(lo, hi)
-    if block.shape != (hi - lo, ADDRESS_BYTES):
-        raise ValueError(f"read({lo}, {hi}) gave shape {block.shape}, "
-                         f"not {(hi - lo, ADDRESS_BYTES)}")
+    if block.shape != (hi - lo, ADDRESS_BYTES) or block.dtype != np.uint8:
+        raise ValueError(f"read({lo}, {hi}) gave shape {block.shape}, not "
+                         f"{(hi - lo, ADDRESS_BYTES)}, of {block.dtype}: keys are "
+                         f"an (n, {ADDRESS_BYTES}) uint8 array")
     return block
 
 

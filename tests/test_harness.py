@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -73,6 +74,13 @@ def test_config_large_sizes_need_opt_in(monkeypatch):
     ExperimentConfig(sizes=(300_000_000,), allow_large=True)
     with pytest.raises(ConfigError, match="maximum"):
         ExperimentConfig(sizes=(300_000_001,), allow_large=True)
+
+
+def test_config_large_size_refusal_gives_the_bytes_of_its_mode():
+    with pytest.raises(ConfigError, match=re.escape(
+            "--allow-large on the command line) to run it anyway; it needs about "
+            "5,600,000 bytes for one crypto trial (28 bytes a key)")):
+        ExperimentConfig(sizes=(200_000,), mode="crypto")
 
 
 @pytest.mark.parametrize("mode, fits", [

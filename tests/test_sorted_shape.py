@@ -487,6 +487,16 @@ def test_streamed_shape_rejects_a_one_row_read():
         streamed_shape(lambda lo, hi: np.zeros((1, 20), np.uint8), 4)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_streamed_shape_rejects_keys_of_another_dtype(dtype):
+    """Unchecked, float32 keys give a wrong shape with no error and int64
+    keys fail inside the tie pass with numpy's own message."""
+    keys = addrgen.generate(1_000, 3, "uniform").astype(dtype)
+    with pytest.raises(ValueError, match=re.escape(
+            f"read(0, 1000) gave shape (1000, 20), not (1000, 20), of {np.dtype(dtype)}")):
+        streamed_shape(reader_of(keys), len(keys))
+
+
 @pytest.mark.parametrize("rows_given, shape", [
     (lambda lo, hi: slice(lo, hi - 1), "(11, 20)"),
     (lambda lo, hi: slice(lo, lo + 1), "(1, 20)"),
