@@ -203,13 +203,18 @@ def test_block_draw_matches_row_by_row_rejection(monkeypatch, seed):
 
 def test_crypto_mode_needs_no_cryptography_package():
     """The curve arithmetic is pathlab's own; ``cryptography`` is a test
-    oracle only, and importing it costs every run memory."""
+    oracle only, and importing it costs every run memory. The command line
+    runs on the standard library, so ``click`` is not loaded either."""
     script = """
+import contextlib
+import io
 import sys
 import pathlab.cli
 from pathlab import addrgen
 addrgen.generate(3, 1, "crypto")
-print(" ".join(m for m in sys.modules if m.split(".")[0] == "cryptography"))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert pathlab.cli.main(["model", "--n", "2"]) == 0
+print(" ".join(m for m in sys.modules if m.split(".")[0] in ("click", "cryptography")))
 """
     src = os.path.dirname(os.path.dirname(pathlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

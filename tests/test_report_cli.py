@@ -2,11 +2,10 @@ import hashlib
 import json
 
 import pytest
-from click.testing import CliRunner
 
 from pathlab import cli as cli_module
 from pathlab import harness
-from pathlab.cli import cli, main
+from pathlab.cli import main
 from pathlab.harness import ExperimentConfig, report_to_json, run_experiment
 from pathlab.report import (
     PUBLISHED_FORMULA_NOTE,
@@ -137,33 +136,34 @@ def test_reproduce_tables_bytes_pinned(tmp_path):
     )
 
 
-def test_cli_model_markdown():
-    result = CliRunner().invoke(cli, ["model", "--n", "100"])
-    assert result.exit_code == 0
-    assert "0.690504" in result.output
+def test_cli_model_markdown(capsys):
+    assert main(["model", "--n", "100"]) == 0
+    assert "0.690504" in capsys.readouterr().out
 
 
-def test_cli_model_json():
-    result = CliRunner().invoke(cli, ["model", "--n", "100", "--format", "json"])
-    payload = json.loads(result.output)
+def test_cli_model_json(capsys):
+    main(["model", "--n", "100", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
     assert payload["mode"] == 2
 
 
-def test_cli_model_notes_the_published_formula_at_every_n():
+def test_cli_model_notes_the_published_formula_at_every_n(capsys):
     """The published formula is no closer to the exact per-leaf law at large
     n (per-bin gap 0.024 at 10**6), so the note is not for small n alone."""
-    runs = {fmt: CliRunner().invoke(cli, ["model", "--n", "1000000", "--format", fmt])
+    runs = {fmt: (main(["model", "--n", "1000000", "--format", fmt]), capsys.readouterr().out)
             for fmt in ("md", "csv", "json")}
-    assert all(r.exit_code == 0 for r in runs.values())
-    assert f"- {PUBLISHED_FORMULA_NOTE}\n" in runs["md"].output
-    assert f"\nnote,{PUBLISHED_FORMULA_NOTE}\n" in runs["csv"].output
-    assert json.loads(runs["json"].output)["note"] == PUBLISHED_FORMULA_NOTE
+    assert all(code == 0 for code, _ in runs.values())
+    assert f"- {PUBLISHED_FORMULA_NOTE}\n" in runs["md"][1]
+    assert f"\nnote,{PUBLISHED_FORMULA_NOTE}\n" in runs["csv"][1]
+    assert json.loads(runs["json"][1])["note"] == PUBLISHED_FORMULA_NOTE
 
 
 def test_cli_usage_error_exit_code():
+    assert main([]) == 1  # no command
     assert main(["model"]) == 1  # missing --n
     assert main(["model", "--n", "0"]) == 1
     assert main(["nonsense"]) == 1
+    assert main(["validate", "--siz", "100"]) == 1  # no abbreviated options
 
 
 def test_cli_config_error_exit_code(capsys):
@@ -171,11 +171,24 @@ def test_cli_config_error_exit_code(capsys):
     capsys.readouterr()
 
 
-def test_cli_unwritable_out_fails_before_any_trial(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("argv, name, make", [
+    (["validate", "--sizes", "100"], "missing/report.json", None),
+    (["validate", "--sizes", "100"], "report_dir", "dir"),
+    (["tables"], "tables.csv", "file"),
+], ids=["missing-parent", "directory-as-report", "file-as-tables-dir"])
+def test_cli_unwritable_out_fails_before_any_trial(tmp_path, monkeypatch, capsys, argv,
+                                                   name, make):
+    """An ``--out`` the OS will not open is a runtime error (exit 2) that
+    names the path, raised before any trial runs."""
     calls = []
     monkeypatch.setattr(cli_module, "run_experiment", calls.append)
-    out = tmp_path / "missing" / "report.json"
-    assert main(["validate", "--sizes", "100", "--trials", "2", "--out", str(out)]) == 2
+    monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args))
+    out = tmp_path / name
+    if make == "dir":
+        out.mkdir()
+    elif make == "file":
+        out.write_bytes(b"keep")
+    assert main(argv + ["--trials", "2", "--out", str(out)]) == 2
     assert capsys.readouterr().err.count(str(out)) == 1
     assert calls == []
 
@@ -205,22 +218,47 @@ def test_cli_simulate_json(tmp_path):
     assert payload["results"][0]["histogram"]
 
 
-def test_cli_validate_markdown():
-    result = CliRunner().invoke(
-        cli, ["validate", "--sizes", "100", "--trials", "2", "--seed", "3"]
-    )
-    assert result.exit_code == 0
-    assert "Chi-square" in result.output
+def test_cli_validate_markdown(capsys):
+    assert main(["validate", "--sizes", "100", "--trials", "2", "--seed", "3"]) == 0
+    assert "Chi-square" in capsys.readouterr().out
 
 
-def test_cli_seed_from_environment():
-    runner = CliRunner()
-    r1 = runner.invoke(
-        cli, ["simulate", "--sizes", "100", "--trials", "1", "--format", "json"],
-        env={"PATHLAB_SEED": "31337"},
-    )
-    assert r1.exit_code == 0
-    assert json.loads(r1.output)["config"]["master_seed"] == 31337
+def test_cli_seed_from_environment(monkeypatch, capsys):
+    monkeypatch.setenv("PATHLAB_SEED", "31337")
+    assert main(["simulate", "--sizes", "100", "--trials", "1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["master_seed"] == 31337
+
+
+def test_cli_bad_seed_environment_is_a_usage_error(monkeypatch, capsys):
+    """``PATHLAB_SEED`` that is not an integer is refused like a bad
+    ``--seed``, and an explicit ``--seed`` overrides it."""
+    monkeypatch.setenv("PATHLAB_SEED", "abc")
+    argv = ["simulate", "--sizes", "100", "--trials", "1"]
+    assert main(argv) == 1
+    capsys.readouterr()
+    assert main(argv + ["--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["master_seed"] == 3
+
+
+def test_cli_out_dash_is_stdout(tmp_path, monkeypatch, capsys):
+    """``--out -`` writes the report to stdout and makes no file named ``-``."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["validate", "--sizes", "100", "--trials", "2", "--seed", "1"]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert main(argv + ["--out", "-"]) == 0
+    assert capsys.readouterr().out == stdout
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["model", "simulate", "validate", "tables"])
+def test_cli_help_of_each_command(capsys, command):
+    """Every command has ``--help`` (exit 0); the ignored ``--jobs`` is not
+    listed in it."""
+    assert main([command, "--help"]) == 0
+    text = capsys.readouterr().out
+    assert "usage:" in text.lower()
+    assert "--jobs" not in text
 
 
 def test_cli_tables(tmp_path):
@@ -261,7 +299,7 @@ def test_cli_stdout_and_out_file_get_the_same_bytes(tmp_path, capsys, fmt):
     ((50,), 2, "crypto", 2, False),
     ((100_001,), 1, "uniform", 1, True),
 ])
-def test_cli_benchmark_argv_writes_the_report(tmp_path, sizes, trials, mode, jobs,
+def test_cli_benchmark_argv_writes_the_report(tmp_path, capsys, sizes, trials, mode, jobs,
                                               allow_large):
     """The benchmark's argv shape, hidden and ignored ``--jobs`` included,
     writes exactly the report of the config it names."""
@@ -275,4 +313,5 @@ def test_cli_benchmark_argv_writes_the_report(tmp_path, sizes, trials, mode, job
     cfg = ExperimentConfig(sizes=sizes, trials=trials, master_seed=1, mode=mode,
                            allow_large=allow_large)
     assert out.read_text() == report_to_json(run_experiment(cfg))
-    assert "--jobs" not in CliRunner().invoke(cli, ["validate", "--help"]).output
+    assert main(["validate", "--help"]) == 0
+    assert "--jobs" not in capsys.readouterr().out
