@@ -22,18 +22,41 @@ Reports are a pure function of the configuration. Each (size, trial)
 pair gets its own generator seed derived with splitmix64 from
 (master_seed, size, trial), so adding sizes or trials never perturbs the
 address streams of existing ones, and every pair is an independent pure
-function of the configuration. ``uniform`` trials run serially, one
-after another: on the paper's config (sizes 100 to 100,000, 10 trials,
-2 CPUs) a forked pool of every trial made the benchmark's ``run_s``
-slower in each of 6 alternating pairs, median 0.164 s against 0.132 s
-serial, as its 40 trials take milliseconds each. ``crypto`` trials,
-about 0.11 ms per key, run on a pool of forked processes, one per CPU
-this process may use (at most one per pair), so up to that many trials
-are in memory at once. The pool is also capped at the number of trials
-of the largest size that physical memory holds (``TRIAL_BYTES_PER_KEY``),
-at least one. A single pair, a single CPU, a cap of one, a platform
-without ``fork`` or a caller running other threads runs them serially. Results come back in configuration order
-either way, so the report is the same bytes.
+function of the configuration, which any process may compute. So the
+pairs run on forked workers, one per CPU this process may use (at most
+one per pair, and no more than physical memory holds trials of the
+largest size, ``TRIAL_BYTES_PER_KEY``), in shares balanced by keys. Each
+share the caller does not run goes to a child forked for it, which
+pickles its results, or its exception, up a pipe; an error anywhere
+kills and reaps every child left. A ``uniform`` caller runs one share
+itself; a ``crypto`` caller only waits. Whether trials are pooled is a
+cost rule, ``POOL_FROM_KEYS``: a ``crypto`` key costs about 0.11 ms, so
+any two ``crypto`` trials are pooled, but ``uniform`` trials take
+milliseconds and are pooled only from 300,000 keys in all. Pooled over
+serial ``run_experiment`` time on 2 CPUs, each run a fresh process,
+medians of 10 alternated pairs (``tools/bench_layers.py pool``,
+``BENCH_pool.json``):
+
+    ===================== ========= =============== =============
+    config                keys      pooled / serial pooled faster
+    ===================== ========= =============== =============
+    10,000 x 10           100,000   1.119           0 of 10
+    100,000 x 2           200,000   0.950           7 of 10
+    100,000 x 4           400,000   1.002           5 of 10
+    paper (100-100k x 10) 1,111,000 0.868           9 of 10
+    1,000,000 x 2         2,000,000 0.587           10 of 10
+    ``crypto`` 1,000 x 4  4,000     0.693           10 of 10
+    ===================== ========= =============== =============
+
+The same bench on the code before the ``uniform`` pool, whose
+``uniform`` runs are serial both ways, read 0.95 to 1.09 on these
+``uniform`` configs: up to 400,000 keys a fork gains about as much as
+this machine's noise.
+
+A single pair, a single CPU, a cap of one, a platform without ``fork`` or
+a caller running other threads runs the trials serially, in this
+process. Results come back in configuration order either way, so the
+report is the same bytes.
 """
 
 from __future__ import annotations
@@ -59,6 +82,8 @@ MAX_SIZE = 300_000_000
 # Bytes a key that a trial of each mode holds at its peak: the kernel's
 # sorted prefixes, and a ``crypto`` trial's keys beside them.
 TRIAL_BYTES_PER_KEY = {"uniform": PREFIX_BYTES, "crypto": PREFIX_BYTES + ADDRESS_BYTES}
+# Keys of all a config's trials from which they run on forked workers.
+POOL_FROM_KEYS = {"uniform": 300_000, "crypto": 0}
 
 
 class ConfigError(ValueError):
@@ -238,40 +263,114 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _pool_trial(size: int, trial: int, cfg: ExperimentConfig) -> TrieShape:
-    # The pool pickles the function it maps; this one looks ``run_trial``
-    # up when called, so a replacement installed before the fork (a
-    # tracing wrapper, a test's patch) runs in the workers too.
-    return run_trial(size, trial, cfg)
+def _shares(pairs: list[tuple[int, int]], workers: int) -> list[list[int]]:
+    """Indices into ``pairs`` in ``workers`` shares of about equal keys:
+    each pair, largest first, goes to the share with the fewest keys yet."""
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    keys = [0] * workers
+    for i in sorted(range(len(pairs)), key=lambda i: -pairs[i][0]):
+        least = keys.index(min(keys))
+        shares[least].append(i)
+        keys[least] += pairs[i][0]
+    return shares
+
+
+def _send_share(pairs: list[tuple[int, int]], cfg: ExperimentConfig, pipe_fd: int):
+    """In a forked child: ``run_trial`` on ``pairs``, ``(ok, shapes or the
+    exception)`` pickled into ``pipe_fd``, then ``os._exit``, which flushes
+    none of the stdio buffers copied from the caller. Never returns; the
+    exit status is 0 only once the result is written."""
+    import pickle
+
+    status = 1
+    try:
+        try:
+            # ``run_trial`` is looked up when called, so a replacement
+            # installed before the fork (a tracing wrapper, a test's patch)
+            # runs here too
+            result = True, [run_trial(size, trial, cfg) for size, trial in pairs]
+        except BaseException as exc:  # sent to the caller, which raises it
+            result = False, exc
+        data = pickle.dumps(result)
+        with open(pipe_fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_forked(pairs: list[tuple[int, int]], cfg: ExperimentConfig,
+                workers: int) -> list[TrieShape]:
+    """``run_trial`` on each pair, in ``workers`` shares: one forked child
+    per share the caller does not run, each sending its results up a pipe."""
+    import pickle
+    import signal
+
+    shares = _shares(pairs, workers)
+    own: list[int] = []
+    if cfg.mode == "uniform":
+        # The caller runs a ``uniform`` share itself, with ``numpy.random``
+        # loaded once before the fork rather than in every child. A
+        # ``crypto`` share would load the window table and Keccak lanes
+        # into the caller too and raise its peak memory, for no speed-up.
+        import numpy.random  # noqa: F401
+
+        own = shares.pop(0)
+    results: dict[int, TrieShape] = {}
+    children: dict[int, int] = {}  # pid -> read end of its pipe
+    try:
+        for share in shares:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _send_share([pairs[i] for i in share], cfg, write_fd)
+            os.close(write_fd)
+            children[pid] = read_fd
+        results.update((i, run_trial(*pairs[i], cfg)) for i in own)
+        for pid, share in zip(list(children), shares):
+            with open(children[pid], "rb", closefd=False) as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            os.close(children.pop(pid))
+            if not data:
+                raise RuntimeError(f"a trial worker exited with status "
+                                   f"{os.waitstatus_to_exitcode(status)} without a result")
+            ok, value = pickle.loads(data)  # bytes a child of this process wrote
+            if not ok:
+                raise value
+            results.update(zip(share, value))
+    finally:
+        # only on an error: every child left is killed and reaped
+        for pid, read_fd in children.items():
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [results[i] for i in range(len(pairs))]
 
 
 def _run_trials(pairs: list[tuple[int, int]], cfg: ExperimentConfig) -> list[TrieShape]:
     """``run_trial`` on each (size, trial) pair, results in ``pairs`` order."""
-    workers = min(_cpu_count(), len(pairs)) if cfg.mode == "crypto" else 1
+    workers = min(_cpu_count(), len(pairs))
+    if sum(size for size, _ in pairs) < POOL_FROM_KEYS[cfg.mode]:
+        workers = 1
     memory = _physical_memory()
     if memory is not None:
         # each worker holds one trial at a time, the largest at most
         trial_bytes = max(cfg.sizes) * TRIAL_BYTES_PER_KEY[cfg.mode]
         workers = min(workers, max(1, memory // trial_bytes))
-    if workers > 1:
-        import multiprocessing
+    if workers > 1 and hasattr(os, "fork"):
         import threading
 
-        # ``fork``, not ``spawn``: a worker starts with the parent's modules
-        # loaded, where a spawned one would import numpy and pathlab again
-        # (about 0.2 s, as long as a 1,000-key trial). A forked child gets
-        # only the calling thread, so a lock another thread holds at the
-        # fork would stay held in it forever.
-        if ("fork" in multiprocessing.get_all_start_methods()
-                and threading.active_count() == 1):
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork")
-            ) as pool:
-                return list(pool.map(
-                    _pool_trial, *zip(*pairs), [cfg] * len(pairs)
-                ))
+        # A forked child gets only the calling thread, so a lock another
+        # thread holds at the fork would stay held in it forever.
+        if threading.active_count() == 1:
+            return _run_forked(pairs, cfg, workers)
     return [run_trial(size, trial, cfg) for size, trial in pairs]
 
 

@@ -1,15 +1,19 @@
 """``tools/bench_layers.py`` still runs against this checkout.
 
 The tool times the kernel's steps through private names (``trie._fill_prefixes``,
-``_prefix_lcps``, ``_sweep``) and stubs ``addrgen.public_keys`` and
-``keccak256_rows``; a rename of any of them would break it without an error
-anywhere else. Each measurement here is one small call in this process.
+``_prefix_lcps``, ``_sweep``), stubs ``addrgen.public_keys`` and
+``keccak256_rows``, and sets ``harness._cpu_count`` and ``POOL_FROM_KEYS``; a
+rename of any of them would break it without an error anywhere else. Each
+measurement here is one small call in this process.
 """
 
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import pathlab
+from pathlab import harness
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,3 +52,34 @@ def test_crypto_bench_gives_every_step():
                      "generate_s", "ru_maxrss_mb"])
     # the scalar draw's stubs are taken out again
     assert (addrgen.public_keys, addrgen.keccak256_rows) == derive
+
+
+def test_pool_bench_configs_are_valid():
+    for config in load_tool().POOL_CONFIGS.values():
+        harness.ExperimentConfig(**config)
+
+
+@pytest.mark.parametrize("way", ["serial", "pooled"])
+def test_pool_bench_runs_each_way(monkeypatch, way):
+    # the bench sets these on the harness; the test puts them back
+    monkeypatch.setattr(harness, "_cpu_count", harness._cpu_count)
+    monkeypatch.setattr(harness, "POOL_FROM_KEYS", harness.POOL_FROM_KEYS)
+    config = {"sizes": (100,), "trials": 2, "master_seed": 1, "mode": "uniform"}
+    assert_row(load_tool().measure_experiment(config, way),
+               ["run_s", "parent_maxrss_mb", "children_maxrss_mb"])
+    assert (harness._cpu_count() == 1) == (way == "serial")
+    assert (harness.POOL_FROM_KEYS["uniform"] == 0) == (way == "pooled")
+
+
+def test_pool_bench_compares_the_alternated_pairs():
+    def call(run_s):
+        return {"run_s": run_s, "parent_maxrss_mb": 30.0, "children_maxrss_mb": 0.0}
+
+    summary = load_tool().summarize_ways({
+        "serial": [call(0.2), call(0.1), call(0.3)],
+        "pooled": [call(0.1), call(0.2), call(0.15)],
+    })
+    assert summary["serial"]["run_s"] == 0.2
+    assert summary["pooled"]["run_s_each"] == [0.1, 0.2, 0.15]
+    assert summary["pooled_over_serial"] == 0.75
+    assert summary["pooled_faster"] == 2

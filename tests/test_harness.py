@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import re
+import time
 
 import pytest
 
@@ -259,43 +261,48 @@ def test_crypto_pool_report_matches_serial_run(monkeypatch):
 
 
 def test_crypto_pool_uses_one_worker_per_cpu(monkeypatch):
-    """The pool is sized by the CPUs and capped at the number of pairs;
-    uniform trials, a single pair and a caller with other threads never
-    start it."""
-    import concurrent.futures
+    """The pool is sized by the CPUs and capped at the number of pairs: a
+    ``crypto`` caller forks one worker per share and waits, a ``uniform``
+    caller above ``POOL_FROM_KEYS`` forks one fewer and runs a share itself.
+    ``uniform`` trials below it, a single pair and a caller with other
+    threads never fork."""
     import threading
 
-    started = []
+    forks = []
+    fork = os.fork
 
-    class Pool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, workers, **kwargs):
-            started.append(workers)
-            super().__init__(workers, **kwargs)
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    def forks_of(cfg):
+        before = len(forks)
+        run_experiment(cfg)
+        return len(forks) - before
+
+    monkeypatch.setattr(harness.os, "fork", counted_fork)
     monkeypatch.setattr(harness, "_cpu_count", lambda: 4)
-    run_experiment(crypto_pool_config())
-    run_experiment(ExperimentConfig(sizes=(30,), trials=3, mode="crypto"))
-    run_experiment(ExperimentConfig(sizes=(50,), trials=1, mode="crypto"))
-    run_experiment(ExperimentConfig(sizes=(30, 40), trials=3))
+    assert forks_of(crypto_pool_config()) == 4
+    assert forks_of(ExperimentConfig(sizes=(30,), trials=3, mode="crypto")) == 3
+    assert forks_of(ExperimentConfig(sizes=(50,), trials=1, mode="crypto")) == 0
+    assert forks_of(ExperimentConfig(sizes=(30, 40), trials=3)) == 0
+    assert forks_of(ExperimentConfig(sizes=(100_000,), trials=4)) == 3
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(60,))
     other.start()
     try:
-        run_experiment(crypto_pool_config())
+        assert forks_of(crypto_pool_config()) == 0
     finally:
         release.set()
         other.join(timeout=60)
     assert not other.is_alive()
-    assert started == [4, 3]
+    assert set(forks) == {os.getpid()}
 
 
 def test_crypto_pool_holds_no_more_trials_than_physical_memory(monkeypatch):
     """With memory for one trial of the largest size (40 crypto keys, 28
     bytes a key), two CPUs run the trials one after another in this
     process, not on two workers that would hold two trials at once."""
-    import os
-
     pids = []
 
     def recorded(size, trial, cfg):
@@ -318,3 +325,84 @@ def test_crypto_pool_worker_error_reaches_caller(monkeypatch):
     monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
     with pytest.raises(ValueError, match="no point for this scalar"):
         run_experiment(crypto_pool_config())
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_uniform_pool_report_matches_serial_run(monkeypatch, cpus):
+    """Above ``POOL_FROM_KEYS`` the ``uniform`` trials run on forked
+    workers, in shares of unequal pair counts, and the report is the same
+    bytes as one CPU's."""
+    cfg = ExperimentConfig(sizes=(100, 1_000, 100_000), trials=3, master_seed=4)
+    assert sum(cfg.sizes) * cfg.trials >= harness.POOL_FROM_KEYS["uniform"]
+    monkeypatch.setattr(harness, "_cpu_count", lambda: cpus)
+    pooled = report_to_json(run_experiment(cfg))
+    assert_no_child_left()
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
+    assert report_to_json(run_experiment(cfg)) == pooled
+
+
+def pool_every_trial(monkeypatch, run_trial_as):
+    """Two CPUs, every config pooled, ``run_trial`` replaced in the caller
+    and, as forked workers inherit it, in them."""
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "POOL_FROM_KEYS", {"uniform": 0, "crypto": 0})
+    monkeypatch.setattr(harness, "run_trial", run_trial_as)
+
+
+class UnpicklableError(Exception):
+    def __init__(self):
+        super().__init__("cannot be sent")
+        self.callback = lambda: None  # a lambda does not pickle
+
+
+def raise_key_error():
+    raise KeyError("a trial failed in a worker")
+
+
+def raise_unpicklable():
+    raise UnpicklableError()
+
+
+@pytest.mark.parametrize("in_worker, error, message", [
+    (raise_key_error, KeyError, "a trial failed in a worker"),
+    (lambda: os._exit(3), RuntimeError, "exited with status 3 without a result"),
+    (raise_unpicklable, RuntimeError, "exited with status 1 without a result"),
+])
+def test_uniform_worker_failure_reaches_caller(monkeypatch, in_worker, error, message):
+    """A worker's exception is raised in the caller with its type and
+    message; a worker that sends no result, as it exited early or its
+    exception does not pickle, is an error naming its exit status."""
+    caller = os.getpid()
+
+    def failing_in_workers(size, trial, cfg):
+        if os.getpid() != caller:
+            in_worker()
+        return run_trial(size, trial, cfg)
+
+    pool_every_trial(monkeypatch, failing_in_workers)
+    with pytest.raises(error, match=message):
+        run_experiment(ExperimentConfig(sizes=(100,), trials=4))
+    assert_no_child_left()
+
+
+def test_caller_error_kills_and_reaps_its_workers(monkeypatch):
+    """An error in the caller's own share ends the workers still running
+    theirs at once: the run does not wait out their minute."""
+    caller = os.getpid()
+
+    def stuck_or_broken(size, trial, cfg):
+        if os.getpid() != caller:
+            time.sleep(60)
+        raise ValueError("the caller's share failed")
+
+    pool_every_trial(monkeypatch, stuck_or_broken)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="the caller's share failed"):
+        run_experiment(ExperimentConfig(sizes=(100,), trials=4))
+    assert time.monotonic() - start < 30
+    assert_no_child_left()

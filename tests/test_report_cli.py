@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import pathlab
 from pathlab import cli as cli_module
 from pathlab import harness
 from pathlab.cli import main
@@ -315,3 +319,33 @@ def test_cli_benchmark_argv_writes_the_report(tmp_path, capsys, sizes, trials, m
     assert out.read_text() == report_to_json(run_experiment(cfg))
     assert main(["validate", "--help"]) == 0
     assert "--jobs" not in capsys.readouterr().out
+
+
+def test_cli_pooled_validate_prints_the_report_once():
+    """A ``validate`` whose trials run on forked workers writes to stdout
+    the bytes of a one-CPU run: the line printed before the trials, still
+    in this process's stdout buffer at the fork, and the report each come
+    out once, as no worker flushes the buffer it was forked with."""
+    script = """
+import sys
+from pathlab import cli, harness
+harness._cpu_count = lambda: int(sys.argv[1])
+print("before the trials")
+sys.exit(cli.main(sys.argv[2:]))
+"""
+    argv = ["validate", "--sizes", "100,100000", "--trials", "3", "--seed", "2"]
+    assert 100_100 * 3 >= harness.POOL_FROM_KEYS["uniform"]
+    src = os.path.dirname(os.path.dirname(pathlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONUNBUFFERED", None)  # so that stdout, a pipe, is block-buffered
+
+    def stdout(cpus):
+        return subprocess.run(
+            [sys.executable, "-c", script, str(cpus), *argv], env=env,
+            capture_output=True, timeout=120, check=True).stdout
+
+    pooled = stdout(2)
+    assert pooled == stdout(1)
+    assert pooled.count(b"before the trials") == 1
+    assert pooled.count(b"## 100 addresses") == pooled.count(b"## 100000 addresses") == 1

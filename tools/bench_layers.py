@@ -1,15 +1,16 @@
-"""Layer benches of the trial kernel and of ``crypto`` key derivation.
+"""Layer benches of the trial kernel, ``crypto`` key derivation and the
+trial pool.
 
-    python tools/bench_layers.py {kernel,crypto} --label NAME [--src SRC]
+    python tools/bench_layers.py {kernel,crypto,pool} --label NAME [--src SRC]
         [--sizes N,N,...] [--validate-only]
 
-For each of the bench's sizes, a fresh process imports ``pathlab`` from
-``SRC`` (a ``src`` directory of any checkout with the steps below), times
-each step as the median of the bench's ``repeats`` calls and records
-``ru_maxrss_mb``, its peak RSS after all of them. The results go into the
-bench's file under ``runs[NAME]``, with the machine that measured them;
-other labels already in the file are kept, so a parent and a change can
-share one file. ``--sizes`` replaces the bench's sizes; the label's rows
+For each size of the ``kernel`` and ``crypto`` benches, a fresh process
+imports ``pathlab`` from ``SRC`` (a ``src`` directory of any checkout with
+the steps below), times each step as the median of the bench's ``repeats``
+calls and records ``ru_maxrss_mb``, its peak RSS after all of them. The
+results of every bench go into the bench's file under ``runs[NAME]``, with
+the machine that measured them; other labels already in the file are
+kept, so a parent and a change can share one file. ``--sizes`` replaces the bench's sizes; the label's rows
 at other sizes are kept, so two labels can be measured alternately, one
 size at a time.
 
@@ -42,14 +43,18 @@ measured too.
 - ``keccak256_rows_s``: ``keccak.keccak256_rows`` on the public keys
 - ``generate_s``: the whole ``addrgen.generate`` call, table already built
 
-``crypto`` then times one ``harness.run_experiment`` call on the
-``crypto-jobs2`` benchmark config (``EXPERIMENT``: 4 trials of 1,000
-``crypto`` keys), each in a fresh process, ``repeats`` times each way,
-alternating: ``serial`` with the harness's CPU count forced to 1, and
-``pooled`` as the program runs it. Each way gives the median ``run_s`` and
-the largest ``parent_maxrss_mb`` (``RUSAGE_SELF``) and
-``children_maxrss_mb`` (``RUSAGE_CHILDREN``: the largest pool worker, 0
-when serial).
+``pool`` (the ``POOL_CONFIGS``, 10 calls each way), into ``BENCH_pool.json``:
+one ``harness.run_experiment`` call per fresh process, alternating
+``serial``, with the harness's CPU count forced to 1, and ``pooled``, with
+``harness.POOL_FROM_KEYS`` set to 0 for every mode, so that a config below
+the ``uniform`` threshold is forked too. The configs are the benchmark's
+``validate-paper`` and ``crypto-jobs2``, which the program pools as they
+are, and ``uniform`` configs around the threshold. Each way gives the
+median ``run_s`` and the largest ``parent_maxrss_mb`` (``RUSAGE_SELF``)
+and ``children_maxrss_mb`` (``RUSAGE_CHILDREN``: the largest worker, 0
+when serial); each config gives ``pooled_over_serial``, the ratio of the
+medians, and ``pooled_faster``, the pairs in which ``pooled`` was faster.
+A checkout without the threshold pools only what it always pools.
 """
 
 from __future__ import annotations
@@ -65,7 +70,16 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-EXPERIMENT = {"sizes": (1_000,), "trials": 4, "master_seed": 1, "mode": "crypto"}
+POOL_CONFIGS = {
+    "validate-paper": {"sizes": (100, 1_000, 10_000, 100_000), "trials": 10,
+                       "master_seed": 1, "mode": "uniform"},
+    "crypto-jobs2": {"sizes": (1_000,), "trials": 4, "master_seed": 1, "mode": "crypto"},
+    "uniform-1e4x10": {"sizes": (10_000,), "trials": 10, "master_seed": 1, "mode": "uniform"},
+    "uniform-1e5x2": {"sizes": (100_000,), "trials": 2, "master_seed": 1, "mode": "uniform"},
+    "uniform-1e5x4": {"sizes": (100_000,), "trials": 4, "master_seed": 1, "mode": "uniform"},
+    "uniform-1e6x2": {"sizes": (1_000_000,), "trials": 2, "master_seed": 1,
+                      "mode": "uniform", "allow_large": True},
+}
 
 
 def _median_time(fn, repeats: int):
@@ -171,15 +185,18 @@ def measure_crypto(size: int, repeats: int) -> dict:
     return _finish_row(row)
 
 
-def measure_experiment(way: str) -> dict:
-    """One ``run_experiment`` call in this process, ``serial`` or ``pooled``."""
+def measure_experiment(config: dict, way: str) -> dict:
+    """One ``run_experiment`` call on ``config`` in this process, ``serial``
+    or ``pooled``."""
     import resource
 
     from pathlab import harness
 
     if way == "serial":
         harness._cpu_count = lambda: 1
-    cfg = harness.ExperimentConfig(**EXPERIMENT)
+    else:
+        harness.POOL_FROM_KEYS = dict.fromkeys(("uniform", "crypto"), 0)
+    cfg = harness.ExperimentConfig(**config)
     start = time.perf_counter()
     harness.run_experiment(cfg)
     run_s = time.perf_counter() - start
@@ -187,6 +204,23 @@ def measure_experiment(way: str) -> dict:
             "parent_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "children_maxrss_mb":
                 resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024}
+
+
+def summarize_ways(calls: dict) -> dict:
+    """Each way's median ``run_s`` and largest peaks, and how ``pooled``
+    compares with ``serial`` over the alternated pairs."""
+    out = {}
+    for way, runs in calls.items():
+        out[way] = {
+            "run_s": round(statistics.median(r["run_s"] for r in runs), 4),
+            "run_s_each": [round(r["run_s"], 4) for r in runs],
+            **{key: round(max(r[key] for r in runs), 1)
+               for key in ("parent_maxrss_mb", "children_maxrss_mb")},
+        }
+    out["pooled_over_serial"] = round(out["pooled"]["run_s"] / out["serial"]["run_s"], 3)
+    out["pooled_faster"] = sum(
+        p["run_s"] < s["run_s"] for s, p in zip(calls["serial"], calls["pooled"]))
+    return out
 
 
 BENCHES = {
@@ -215,9 +249,23 @@ BENCHES = {
             "the cold secp256k1 window table, the crypto scalar draw, "
             "secp256k1.public_keys, keccak.keccak256_rows and the whole "
             "addrgen.generate (medians of `repeats` calls), and ru_maxrss; "
-            "`experiment`: one run_experiment call on the crypto-jobs2 config per "
-            "fresh process, `repeats` times serial (CPU count forced to 1) and "
-            "pooled, median run_s and the largest parent and children ru_maxrss"
+            "`experiment` (earlier runs only; the pool bench measures it now): one "
+            "run_experiment call on the crypto-jobs2 config per fresh process, "
+            "`repeats` times serial (CPU count forced to 1) and pooled, median "
+            "run_s and the largest parent and children ru_maxrss"
+        ),
+    },
+    "pool": {
+        "out": ROOT / "BENCH_pool.json",
+        "repeats": 10,
+        "description": (
+            "tools/bench_layers.py pool: per config, one run_experiment call per "
+            "fresh process, `repeats` times each way, alternating serial (CPU "
+            "count forced to 1) and pooled (POOL_FROM_KEYS 0 for every mode); per "
+            "way the median run_s, each run_s and the largest parent "
+            "(RUSAGE_SELF) and children (RUSAGE_CHILDREN) ru_maxrss; "
+            "pooled_over_serial, the ratio of the medians, and pooled_faster, "
+            "the pairs in which pooled was faster"
         ),
     },
 }
@@ -236,10 +284,13 @@ def main(argv=None) -> int:
     ap.add_argument("--one", type=int, help=argparse.SUPPRESS)
     ap.add_argument("--validate", type=int, help=argparse.SUPPRESS)
     ap.add_argument("--experiment", choices=("serial", "pooled"), help=argparse.SUPPRESS)
+    ap.add_argument("--config", choices=sorted(POOL_CONFIGS), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     bench = BENCHES[args.bench]
     if args.validate_only and args.bench != "kernel":
         ap.error("--validate-only applies to the kernel bench")
+    if args.sizes and args.bench == "pool":
+        ap.error("the pool bench measures its configs, not sizes")
 
     if args.validate is not None:
         print(json.dumps(measure_validate(args.validate, args.src)))
@@ -249,7 +300,8 @@ def main(argv=None) -> int:
         if args.one is not None:
             print(json.dumps(bench["measure"](args.one, bench["repeats"])))
         else:
-            print(json.dumps(measure_experiment(args.experiment)))
+            print(json.dumps(measure_experiment(POOL_CONFIGS[args.config],
+                                                args.experiment)))
         return 0
 
     def fresh(*extra) -> dict:
@@ -260,29 +312,26 @@ def main(argv=None) -> int:
         )
         return json.loads(out.stdout.splitlines()[-1])
 
-    run = {"repeats": bench["repeats"], "sizes": {}}
-    for size in args.sizes or bench["sizes"]:
-        row = {} if args.validate_only else fresh("--one", str(size))
-        if args.bench == "kernel":
-            # its own process: RUSAGE_CHILDREN would also count this one's
-            # earlier children
-            row.update(fresh("--validate", str(size)))
-        run["sizes"][str(size)] = row
-        print(args.label, size, row, file=sys.stderr)
-    if args.bench == "crypto":
-        calls = {"serial": [], "pooled": []}
-        for _ in range(bench["repeats"]):
-            for way, runs in calls.items():
-                runs.append(fresh("--experiment", way))
-                print(args.label, way, runs[-1], file=sys.stderr)
-        run["experiment"] = {"config": EXPERIMENT}
-        for way, runs in calls.items():
-            run["experiment"][way] = {
-                "run_s": round(statistics.median(r["run_s"] for r in runs), 4),
-                "run_s_each": [round(r["run_s"], 4) for r in runs],
-                **{key: round(max(r[key] for r in runs), 1)
-                   for key in ("parent_maxrss_mb", "children_maxrss_mb")},
-            }
+    run = {"repeats": bench["repeats"]}
+    if args.bench == "pool":
+        run["configs"] = {}
+        for name in POOL_CONFIGS:
+            calls = {"serial": [], "pooled": []}
+            for _ in range(bench["repeats"]):
+                for way, runs in calls.items():
+                    runs.append(fresh("--experiment", way, "--config", name))
+                    print(args.label, name, way, runs[-1], file=sys.stderr)
+            run["configs"][name] = {"config": POOL_CONFIGS[name], **summarize_ways(calls)}
+    else:
+        run["sizes"] = {}
+        for size in args.sizes or bench["sizes"]:
+            row = {} if args.validate_only else fresh("--one", str(size))
+            if args.bench == "kernel":
+                # its own process: RUSAGE_CHILDREN would also count this one's
+                # earlier children
+                row.update(fresh("--validate", str(size)))
+            run["sizes"][str(size)] = row
+            print(args.label, size, row, file=sys.stderr)
 
     import numpy as np
 
@@ -290,7 +339,9 @@ def main(argv=None) -> int:
                       "numpy": np.__version__, "platform": platform.platform()}
     results = json.loads(bench["out"].read_text()) if bench["out"].exists() else {"runs": {}}
     results["description"] = bench["description"]
-    run["sizes"] = {**results["runs"].get(args.label, {}).get("sizes", {}), **run["sizes"]}
+    if "sizes" in run:
+        run["sizes"] = {**results["runs"].get(args.label, {}).get("sizes", {}),
+                        **run["sizes"]}
     results["runs"][args.label] = run
     bench["out"].write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
     return 0
