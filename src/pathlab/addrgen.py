@@ -7,21 +7,24 @@ addresses as a ``(count, 20)`` uint8 array in one of the two ``MODES``:
   stream. PCG64 has 128-bit state and passes the standard statistical
   batteries (TestU01 BigCrush, PractRand), which is what matters for
   the path-length statistics; cryptographic unpredictability is not
-  needed for reproducible experiments. ``start`` picks keys
-  ``[start, start + count)`` of the seed's stream, reached with
-  ``PCG64.advance`` without drawing the keys before it, so a large key
-  set can be drawn a chunk at a time and drawn again, in the same bytes,
-  without ever being held whole.
+  needed for reproducible experiments.
 * ``crypto``: the full derivation pipeline — a seeded random valid
   secp256k1 private scalar, scalar-multiplied onto the generator point,
   with the address taken as the last 20 bytes of the Keccak-256 hash of
   the 64-byte uncompressed public-key coordinates (X || Y, no 0x04
-  prefix byte). A trial's keys are derived together, in batches of
-  up to 4,096: fixed-base windowed scalar multiplication in affine
-  coordinates, one shared inversion per window (``pathlab.secp256k1``),
-  then Keccak-256 over numpy lanes (``pathlab.keccak``). About 0.11 ms
-  per key (``tools/bench_layers.py crypto``), against microseconds for
+  prefix byte). Keys are derived together, in batches of up to 4,096:
+  fixed-base windowed scalar multiplication in affine coordinates, one
+  shared inversion per window (``pathlab.secp256k1``), then Keccak-256
+  over numpy lanes (``pathlab.keccak``). About 0.11 ms per key
+  (``tools/bench_layers.py crypto``), against microseconds for
   ``uniform``, and statistically indistinguishable from it.
+
+In both modes ``start`` picks keys ``[start, start + count)`` of the
+seed's stream, so a large key set can be read a chunk at a time and read
+again, in the same bytes, without ever being held whole. ``uniform``
+reaches its start with ``PCG64.advance``, without drawing the keys before
+it; ``crypto`` draws their scalars, about 0.4 us a key, and derives none
+of them.
 """
 
 from __future__ import annotations
@@ -74,14 +77,14 @@ def generate(count: int, seed: int = 0, mode: str = "uniform",
     address per row; bit-exact for identical arguments.
 
     The rows are addresses ``[start, start + count)`` of the seed's
-    stream: ``generate(c, s, start=k)`` equals ``generate(k + c, s)[k:]``.
-    Only ``uniform`` can start past 0.
+    stream: ``generate(c, s, m, start=k)`` equals ``generate(k + c, s, m)[k:]``
+    in either mode.
     """
     if mode not in MODES:
         raise ValueError(f"unknown generator mode {mode!r}")
     if count < 0:
         raise ValueError("count must be non-negative")
-    if start < 0 or (start and mode != "uniform"):
+    if start < 0:
         raise ValueError(f"{mode} addresses cannot start at {start}")
     if mode == "uniform":
         # The bytes ``integers(0, 256, (count, 20), uint8)`` gives on this
@@ -96,20 +99,35 @@ def generate(count: int, seed: int = 0, mode: str = "uniform",
         octets = words.astype("<u8", copy=False).view(np.uint8)
         return octets[offset:offset + nbytes].reshape(count, ADDRESS_BYTES)
     rng = np.random.default_rng(np.random.PCG64(seed))
+    end = start + count
     addresses = np.empty((count, ADDRESS_BYTES), dtype=np.uint8)
-    for first in range(0, count, CRYPTO_BATCH):
-        rows = addresses[first : first + CRYPTO_BATCH]
-        scalars = []
-        while len(scalars) < len(rows):
-            # rejection keeps the scalars uniform over the group; the PCG64
-            # uint8 stream is the same drawn in blocks or one row at a time
-            draws = rng.integers(0, 256, (len(rows) - len(scalars), 32), np.uint8).tobytes()
-            for i in range(0, len(draws), 32):
-                scalar = int.from_bytes(draws[i : i + 32], "big")
-                if 1 <= scalar < SECP256K1_ORDER:
-                    scalars.append(scalar)
-        rows[:] = keccak256_rows(public_keys(scalars))[:, -ADDRESS_BYTES:]
+    # Batches run from key 0 whatever the start: the scalars of the keys
+    # before it are drawn, to keep the stream's place, and dropped, not
+    # derived.
+    for first in range(0, end, CRYPTO_BATCH):
+        last = min(first + CRYPTO_BATCH, end)
+        scalars = _draw_scalars(rng, last - first)
+        if last > start:
+            lo = max(first, start)
+            addresses[lo - start:last - start] = keccak256_rows(
+                public_keys(scalars[lo - first:]))[:, -ADDRESS_BYTES:]
     return addresses
+
+
+def _draw_scalars(rng: np.random.Generator, count: int) -> list[int]:
+    """The next ``count`` private scalars of ``rng``'s stream: 32-byte
+    big-endian draws, those outside [1, group order - 1] rejected."""
+    scalars = []
+    while len(scalars) < count:
+        # rejection keeps the scalars uniform over the group; the PCG64
+        # uint8 stream is the same drawn in blocks or one row at a time,
+        # and a block draws only as many rows as scalars are missing
+        draws = rng.integers(0, 256, (count - len(scalars), 32), np.uint8).tobytes()
+        for i in range(0, len(draws), 32):
+            scalar = int.from_bytes(draws[i : i + 32], "big")
+            if 1 <= scalar < SECP256K1_ORDER:
+                scalars.append(scalar)
+    return scalars
 
 
 def collision_probability(n: int) -> float:

@@ -45,16 +45,6 @@ def _sizes(value: str) -> tuple[int, ...]:
             f"expected comma-separated integers, got {value!r}") from None
 
 
-def _positive(value: str) -> int:
-    try:
-        number = int(value)
-    except ValueError:
-        number = 0
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {value!r}")
-    return number
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathlab", allow_abbrev=False,
@@ -73,11 +63,11 @@ def _parser() -> argparse.ArgumentParser:
         # is a usage error unless --seed is given.
         sub.add_argument("--seed", type=int, default=os.environ.get("PATHLAB_SEED", "0"),
                          help="master seed (default: PATHLAB_SEED, then 0)")
-        sub.add_argument("--trials", type=_positive, default=DEFAULT_TRIALS,
+        sub.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
                          help="trials per size (default: %(default)s)")
 
     sub = command("model", "Print the analytic path-length distribution for N keys.", "md")
-    sub.add_argument("--n", type=_positive, required=True,
+    sub.add_argument("--n", type=int, required=True,
                      help="number of keys in the modeled trie")
     for name, fmt, text in (
         ("simulate", "json", "Run seeded trials and emit the full experiment report."),
@@ -91,7 +81,7 @@ def _parser() -> argparse.ArgumentParser:
                          help="address generator (default: %(default)s)")
         sub.add_argument("--allow-large", action="store_true",
                          help=f"permit sizes above {LARGE_SIZE_THRESHOLD}")
-        sub.add_argument("--jobs", type=_positive, help=argparse.SUPPRESS)
+        sub.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
         sub.add_argument("--out", help="file for the report; stdout when omitted or '-'")
     sub = command("tables", "Reproduce the six reference tables as CSV files.")
     sub.add_argument("--out", required=True, help="directory for the six table files")

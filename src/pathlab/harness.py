@@ -5,18 +5,16 @@ Each trial's keys are measured by the sorted-LCP kernel
 and level census the pointer :class:`pathlab.trie.Trie` would, without
 building it, as the :class:`pathlab.trie.TrieShape` that is the trial's
 result; the ``Trie`` stays as the paper's instrument and the oracle the
-kernel is tested against. The kernel reads a ``uniform``
-trial's keys a block at a time, each block drawn from its place in the
-trial's stream, and keeps only their 8-byte prefixes, so no trial holds
-its keys: its memory is about 8 bytes a key. A ``crypto`` trial derives
-its keys once, into one array that :func:`pathlab.trie.sorted_shape`
-reads, and holds their 20 bytes a key besides. Sizes above
-``LARGE_SIZE_THRESHOLD`` need ``allow_large``, and ``MAX_SIZE``
-(300,000,000 keys, about 2.3 GB) is the most one trial may have. A size
-whose trial needs more bytes than the machine has physical memory, or
-with too few pooled keys for two count chi-square bins, is refused when
-:class:`ExperimentConfig` is built, before any trial runs or the command
-line opens ``--out``.
+kernel is tested against. The kernel reads a trial's keys a block at a
+time, in either mode, each block drawn (and for ``crypto`` derived) from
+its place in the trial's stream, and keeps only their 8-byte prefixes,
+so no trial holds its keys: its memory is about 8 bytes a key
+(``PREFIX_BYTES``). Sizes above ``LARGE_SIZE_THRESHOLD`` need
+``allow_large``, and ``MAX_SIZE`` (300,000,000 keys, about 2.3 GB) is
+the most one trial may have. A size whose trial needs more bytes than
+the machine has physical memory, or with too few pooled keys for two
+count chi-square bins, is refused when :class:`ExperimentConfig` is
+built, before any trial runs or the command line opens ``--out``.
 
 Reports are a pure function of the configuration. Each (size, trial)
 pair gets its own generator seed derived with splitmix64 from
@@ -25,14 +23,14 @@ address streams of existing ones, and every pair is an independent pure
 function of the configuration, which any process may compute. So the
 pairs run on forked workers, one per CPU this process may use (at most
 one per pair, and no more than physical memory holds trials of the
-largest size, ``TRIAL_BYTES_PER_KEY``), in shares balanced by keys. Each
-share the caller does not run goes to a child forked for it, which
-pickles its results, or its exception, up a pipe; an error anywhere
-kills and reaps every child left. A ``uniform`` caller runs one share
-itself; a ``crypto`` caller only waits. Whether trials are pooled is a
-cost rule, ``POOL_FROM_KEYS``: a ``crypto`` key costs about 0.11 ms, so
-any two ``crypto`` trials are pooled, but ``uniform`` trials take
-milliseconds and are pooled only from 300,000 keys in all. Pooled over
+largest size), in shares balanced by keys. Each share the caller does
+not run goes to a child forked for it, which pickles its results, or its
+exception, up a pipe; an error anywhere kills and reaps every child
+left. A ``uniform`` caller runs one share itself; a ``crypto`` caller
+only waits. Whether trials are pooled is a cost rule,
+``POOL_FROM_KEYS``: a ``crypto`` key costs about 0.11 ms, so any two
+``crypto`` trials are pooled, but ``uniform`` trials take milliseconds
+and are pooled only from 300,000 keys in all. Pooled over
 serial ``run_experiment`` time on 2 CPUs, each run a fresh process,
 medians of 10 alternated pairs (``tools/bench_layers.py pool``,
 ``BENCH_pool.json``):
@@ -68,8 +66,7 @@ from dataclasses import asdict, dataclass
 from functools import reduce
 
 from . import addrgen, model, stats
-from .keyspace import ADDRESS_BYTES
-from .trie import PREFIX_BYTES, TrieShape, sorted_shape, streamed_shape
+from .trie import PREFIX_BYTES, TrieShape, streamed_shape
 
 SCHEMA_VERSION = 1
 
@@ -79,9 +76,6 @@ DEFAULT_TRIALS = 10
 # Sizes past the largest validated scale need an explicit opt-in.
 LARGE_SIZE_THRESHOLD = 100_000
 MAX_SIZE = 300_000_000
-# Bytes a key that a trial of each mode holds at its peak: the kernel's
-# sorted prefixes, and a ``crypto`` trial's keys beside them.
-TRIAL_BYTES_PER_KEY = {"uniform": PREFIX_BYTES, "crypto": PREFIX_BYTES + ADDRESS_BYTES}
 # Keys of all a config's trials from which they run on forked workers.
 POOL_FROM_KEYS = {"uniform": 300_000, "crypto": 0}
 
@@ -122,15 +116,13 @@ class ExperimentConfig:
                 raise ConfigError(f"size {n} is below the minimum of 2")
             if n > MAX_SIZE:
                 raise ConfigError(f"size {n} exceeds the supported maximum {MAX_SIZE}")
-            per_key = TRIAL_BYTES_PER_KEY[self.mode]
-            needed = (f"about {n * per_key:,} bytes for one {self.mode} trial "
-                      f"({per_key} bytes a key)")
+            needed = f"about {n * PREFIX_BYTES:,} bytes for one trial ({PREFIX_BYTES} bytes a key)"
             if n > LARGE_SIZE_THRESHOLD and not self.allow_large:
                 raise ConfigError(
                     f"size {n} exceeds {LARGE_SIZE_THRESHOLD}; set allow_large "
                     f"(--allow-large on the command line) to run it anyway; it needs {needed}"
                 )
-            if memory is not None and n * per_key > memory:
+            if memory is not None and n * PREFIX_BYTES > memory:
                 raise ConfigError(
                     f"size {n} needs {needed}, more than the {memory:,} bytes "
                     "of physical memory here"
@@ -190,13 +182,9 @@ class ExperimentReport:
 def run_trial(size: int, trial: int, cfg: ExperimentConfig) -> TrieShape:
     """Measure trial ``trial`` of ``size`` keys: the kernel's ``TrieShape``."""
     seed = trial_seed(cfg.master_seed, size, trial)
-    if cfg.mode == "uniform":
-        # ``generate`` is looked up on the module at each call, so that a
-        # wrapper installed on it sees every block the kernel reads
-        return streamed_shape(
-            lambda lo, hi: addrgen.generate(hi - lo, seed, "uniform", lo), size)
-    # derived once: the kernel's pass over tied prefixes reads them again
-    return sorted_shape(addrgen.generate(size, seed, cfg.mode))
+    # ``generate`` is looked up on the module at each call, so that a
+    # wrapper installed on it sees every block the kernel reads
+    return streamed_shape(lambda lo, hi: addrgen.generate(hi - lo, seed, cfg.mode, lo), size)
 
 
 TABLE_ROWS = 6
@@ -362,8 +350,7 @@ def _run_trials(pairs: list[tuple[int, int]], cfg: ExperimentConfig) -> list[Tri
     memory = _physical_memory()
     if memory is not None:
         # each worker holds one trial at a time, the largest at most
-        trial_bytes = max(cfg.sizes) * TRIAL_BYTES_PER_KEY[cfg.mode]
-        workers = min(workers, max(1, memory // trial_bytes))
+        workers = min(workers, max(1, memory // (max(cfg.sizes) * PREFIX_BYTES)))
     if workers > 1 and hasattr(os, "fork"):
         import threading
 

@@ -199,11 +199,12 @@ def reproduce_tables(out_dir: str | Path, master_seed: int = 0,
     and the chi-square table. Theoretical columns are fully analytic;
     experimental columns come from a seeded simulation.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = ExperimentConfig(
         sizes=tuple(DEFAULT_SIZES), trials=trials, master_seed=master_seed
     )
+    # made once the config is accepted, so a refused one leaves no directory
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     report = run_experiment(cfg)
     paths = []
 

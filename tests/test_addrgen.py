@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -54,11 +55,27 @@ def test_uniform_start_continues_the_stream(start, count):
     assert np.array_equal(generate(count, 8, start=start), generate(start + count, 8)[start:])
 
 
-def test_only_uniform_starts_past_zero():
-    with pytest.raises(ValueError, match="crypto addresses cannot start at 1"):
-        generate(2, 1, "crypto", start=1)
-    with pytest.raises(ValueError, match="uniform addresses cannot start at -1"):
-        generate(2, 1, start=-1)
+@functools.cache
+def crypto_stream(count):
+    """The first ``count`` crypto addresses of seed 8, derived once."""
+    return generate(count, 8, "crypto")
+
+
+@pytest.mark.parametrize("start, count", [
+    (1, 0), (1, 2), (4095, 1), (4096, 1), (4096, 7), (4097, 2),
+    (4090, 10),  # across the first CRYPTO_BATCH edge
+])
+def test_crypto_start_continues_the_stream(start, count):
+    """Keys past the start are derived from the same scalars as from key 0,
+    on either side of a batch edge."""
+    assert np.array_equal(generate(count, 8, "crypto", start=start),
+                          crypto_stream(4110)[start:start + count])
+
+
+def test_negative_start_is_refused_in_both_modes():
+    for mode in addrgen.MODES:
+        with pytest.raises(ValueError, match=f"{mode} addresses cannot start at -1"):
+            generate(2, 1, mode, start=-1)
 
 
 def test_crypto_determinism():
@@ -199,6 +216,11 @@ def test_block_draw_matches_row_by_row_rejection(monkeypatch, seed):
     generate(40, seed, "crypto")
     assert drawn == _drawn_scalars(seed, 40, order=2**255)
     assert drawn != _drawn_scalars(seed, 40)  # rows were rejected
+    # a start past 0 skips the rejected rows before it too, and derives
+    # only its own keys
+    drawn.clear()
+    generate(20, seed, "crypto", start=17)
+    assert drawn == _drawn_scalars(seed, 37, order=2**255)[17:]
 
 
 def test_crypto_mode_needs_no_cryptography_package():

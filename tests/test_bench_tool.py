@@ -1,8 +1,8 @@
 """``tools/bench_layers.py`` still runs against this checkout.
 
 The tool times the kernel's steps through private names (``trie._fill_prefixes``,
-``_prefix_lcps``, ``_sweep``), stubs ``addrgen.public_keys`` and
-``keccak256_rows``, and sets ``harness._cpu_count`` and ``POOL_FROM_KEYS``; a
+``_prefix_lcps``, ``_sweep``) and the scalar draw through ``addrgen._draw_scalars``,
+and sets ``harness._cpu_count`` and ``POOL_FROM_KEYS``; a
 rename of any of them would break it without an error anywhere else. Each
 measurement here is one small call in this process.
 """
@@ -50,7 +50,7 @@ def test_crypto_bench_gives_every_step():
     row = load_tool().measure_crypto(8, 1)
     assert_row(row, ["window_table_s", "draw_s", "public_keys_s", "keccak256_rows_s",
                      "generate_s", "ru_maxrss_mb"])
-    # the scalar draw's stubs are taken out again
+    # the bench leaves the derivation steps as they were
     assert (addrgen.public_keys, addrgen.keccak256_rows) == derive
 
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from pathlab import harness
+from pathlab import harness, trie
 from pathlab.harness import (
     ConfigError,
     ExperimentConfig,
@@ -79,21 +79,23 @@ def test_config_large_sizes_need_opt_in(monkeypatch):
 
 
 def test_config_large_size_refusal_gives_the_bytes_of_its_mode():
-    with pytest.raises(ConfigError, match=re.escape(
-            "--allow-large on the command line) to run it anyway; it needs about "
-            "5,600,000 bytes for one crypto trial (28 bytes a key)")):
-        ExperimentConfig(sizes=(200_000,), mode="crypto")
+    """Both modes read their keys a block at a time: 8 bytes a key."""
+    for mode in harness.addrgen.MODES:
+        with pytest.raises(ConfigError, match=re.escape(
+                "--allow-large on the command line) to run it anyway; it needs about "
+                "1,600,000 bytes for one trial (8 bytes a key)")):
+            ExperimentConfig(sizes=(200_000,), mode=mode)
 
 
 @pytest.mark.parametrize("mode, fits", [
     ("uniform", 125_000_192),   # 8 bytes a key: exactly the memory
-    ("crypto", 35_714_340),     # 28 bytes a key: 16 bytes short of it
+    ("crypto", 125_000_192),
 ])
 def test_config_refuses_a_trial_larger_than_physical_memory(monkeypatch, mode, fits):
     monkeypatch.setattr(harness.os, "sysconf", fake_sysconf(1_000_001_536))
     ExperimentConfig(sizes=(fits,), trials=1, mode=mode, allow_large=True)
     refused = fits + 1
-    needed = refused * harness.TRIAL_BYTES_PER_KEY[mode]
+    needed = refused * 8
     with pytest.raises(ConfigError, match=f"size {refused} needs about {needed:,} "
                        "bytes .* than the 1,000,001,536 bytes of physical memory"):
         ExperimentConfig(sizes=(refused,), trials=1, mode=mode, allow_large=True)
@@ -129,9 +131,10 @@ def test_run_trial_determinism():
 
 
 def test_crypto_trial_derives_each_key_once(monkeypatch):
-    """A crypto trial's keys are derived once, into one array, and the
-    kernel's pass over tied prefixes reads that array again. Here every
-    other address is given the same first 8 bytes, so most prefixes tie."""
+    """A crypto trial derives each key once. Only when prefixes tie does the
+    kernel's tie pass read the keys again, and so derive them again: in the
+    second run every other address is given the same first 8 bytes, so
+    most prefixes tie."""
     derived = []
 
     def counted_public_keys(scalars):
@@ -144,16 +147,28 @@ def test_crypto_trial_derives_each_key_once(monkeypatch):
         return digests
 
     public_keys, keccak256_rows = harness.addrgen.public_keys, harness.addrgen.keccak256_rows
-    monkeypatch.setattr(harness.addrgen, "keccak256_rows", tied_rows)
     monkeypatch.setattr(harness.addrgen, "public_keys", counted_public_keys)
     cfg = ExperimentConfig(sizes=(40,), trials=1, master_seed=2, mode="crypto")
-    result = run_trial(40, 0, cfg)
+    run_trial(40, 0, cfg)
     assert sum(derived) == 40
+    derived.clear()
+    monkeypatch.setattr(harness.addrgen, "keccak256_rows", tied_rows)
+    result = run_trial(40, 0, cfg)
+    assert sum(derived) == 80
     keys = harness.addrgen.generate(40, trial_seed(2, 40, 0), "crypto")
     assert (keys[::2, :8] == 0xAB).all()
     assert result == sorted_shape(keys)
     # the 20 tied keys, and only they, sit below the 16 prefix nibbles
     assert sum(c for d, c in result.divergence_histogram.counts.items() if d > 16) == 20
+
+
+def test_crypto_trial_reads_its_keys_a_block_at_a_time(monkeypatch):
+    """With blocks of 256 keys a 1,000-key crypto trial is read in four
+    ranges, each derived from its place in the trial's stream."""
+    monkeypatch.setattr(trie, "_BLOCK", 2**8)
+    cfg = ExperimentConfig(sizes=(1_000,), trials=1, master_seed=3, mode="crypto")
+    keys = harness.addrgen.generate(1_000, trial_seed(3, 1_000, 0), "crypto")
+    assert run_trial(1_000, 0, cfg) == sorted_shape(keys)
 
 
 def test_table_span_rule():
@@ -300,7 +315,7 @@ def test_crypto_pool_uses_one_worker_per_cpu(monkeypatch):
 
 
 def test_crypto_pool_holds_no_more_trials_than_physical_memory(monkeypatch):
-    """With memory for one trial of the largest size (40 crypto keys, 28
+    """With memory for one trial of the largest size (40 crypto keys, 8
     bytes a key), two CPUs run the trials one after another in this
     process, not on two workers that would hold two trials at once."""
     pids = []
@@ -310,7 +325,7 @@ def test_crypto_pool_holds_no_more_trials_than_physical_memory(monkeypatch):
         return run_trial(size, trial, cfg)
 
     monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(harness, "_physical_memory", lambda: 2 * 40 * 28 - 1)
+    monkeypatch.setattr(harness, "_physical_memory", lambda: 2 * 40 * 8 - 1)
     monkeypatch.setattr(harness, "run_trial", recorded)
     run_experiment(crypto_pool_config())
     assert pids == [os.getpid()] * 6

@@ -122,6 +122,12 @@ def test_reproduce_tables_writes_six_files(tmp_path):
     assert table1.splitlines()[1].startswith("1,0.002386,")
 
 
+def test_reproduce_tables_refused_config_makes_no_directory(tmp_path):
+    with pytest.raises(harness.ConfigError, match="trials must be >= 1"):
+        reproduce_tables(tmp_path / "x", trials=0)
+    assert not (tmp_path / "x").exists()
+
+
 def test_reproduce_tables_deterministic(tmp_path):
     a_paths = reproduce_tables(tmp_path / "a", trials=2)
     b_paths = reproduce_tables(tmp_path / "b", trials=2)
@@ -204,6 +210,21 @@ def test_cli_refused_config_keeps_existing_out_file(tmp_path):
     keep.write_bytes(b"keep")
     assert main(["validate", "--sizes", "2", "--trials", "1", "--out", str(keep)]) == 1
     assert keep.read_bytes() == b"keep"
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "--trials", "0"],
+    ["tables", "--trials", "-3"],
+    ["validate", "--sizes", "100", "--trials", "0"],
+    ["model", "--n", "-1"],
+], ids=["tables-0", "tables-negative", "validate-0", "model-negative"])
+def test_cli_counts_below_one_are_config_errors(tmp_path, capsys, argv):
+    """The config and the model refuse a count below 1 (exit 1); the
+    command line makes no directory for it."""
+    out = tmp_path / "out"
+    assert main(argv + (["--out", str(out)] if argv[0] != "model" else [])) == 1
+    assert ">= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_bad_sizes_string():

@@ -37,8 +37,8 @@ measured too.
 ``crypto`` (1,000 and 4,096 keys, 5 calls each), into ``BENCH_crypto.json``:
 
 - ``window_table_s``: ``secp256k1.window_table`` built cold (cache cleared)
-- ``draw_s``: ``addrgen.generate`` in ``crypto`` mode with the point and
-  hash steps stubbed out, i.e. the scalar draw
+- ``draw_s``: ``addrgen._draw_scalars``, the scalar draw of ``crypto``
+  mode, on seed 1's stream
 - ``public_keys_s``: ``secp256k1.public_keys`` on the drawn scalars
 - ``keccak256_rows_s``: ``keccak.keccak256_rows`` on the public keys
 - ``generate_s``: the whole ``addrgen.generate`` call, table already built
@@ -164,21 +164,11 @@ def measure_crypto(size: int, repeats: int) -> dict:
         secp256k1.window_table.cache_clear()
         return secp256k1.window_table()
 
-    scalars = []
-
-    def drawn_only(batch):
-        scalars[:] = batch
-        return np.zeros((len(batch), 64), dtype=np.uint8)
-
     row = {}
     row["window_table_s"], _ = _median_time(cold_table, repeats)
-    derive = addrgen.public_keys, addrgen.keccak256_rows
-    addrgen.public_keys = drawn_only
-    addrgen.keccak256_rows = lambda keys: np.zeros((len(keys), 32), dtype=np.uint8)
-    try:
-        row["draw_s"], _ = _median_time(lambda: addrgen.generate(size, 1, "crypto"), repeats)
-    finally:
-        addrgen.public_keys, addrgen.keccak256_rows = derive
+    row["draw_s"], scalars = _median_time(
+        lambda: addrgen._draw_scalars(np.random.default_rng(np.random.PCG64(1)), size),
+        repeats)
     row["public_keys_s"], keys = _median_time(lambda: secp256k1.public_keys(scalars), repeats)
     row["keccak256_rows_s"], _ = _median_time(lambda: keccak.keccak256_rows(keys), repeats)
     row["generate_s"], _ = _median_time(lambda: addrgen.generate(size, 1, "crypto"), repeats)
