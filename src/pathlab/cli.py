@@ -16,7 +16,8 @@ Exit codes: 0 success, 1 usage or configuration error, 2 runtime error.
 An ``--out`` the OS will not open (a missing directory, a directory as
 the report, a file as the tables' directory) is a runtime error, raised
 before any trial runs. ``PATHLAB_SEED`` supplies the default master seed
-when ``--seed`` is not given.
+when ``--seed`` is not given; a seed outside [0, 2**64) is a
+configuration error.
 """
 
 from __future__ import annotations

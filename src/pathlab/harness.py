@@ -27,10 +27,10 @@ largest size), in shares balanced by keys. Each share the caller does
 not run goes to a child forked for it, which pickles its results, or its
 exception, up a pipe; an error anywhere kills and reaps every child
 left. A ``uniform`` caller runs one share itself; a ``crypto`` caller
-only waits. Whether trials are pooled is a cost rule,
-``POOL_FROM_KEYS``: a ``crypto`` key costs about 0.11 ms, so any two
-``crypto`` trials are pooled, but ``uniform`` trials take milliseconds
-and are pooled only from 300,000 keys in all. Pooled over
+only waits, unless there is one share. Whether trials are pooled is a
+cost rule, ``POOL_FROM_KEYS``: a ``crypto`` key costs about 0.11 ms, so
+any two ``crypto`` trials are pooled, but ``uniform`` trials take
+milliseconds and are pooled only from 300,000 keys in all. Pooled over
 serial ``run_experiment`` time on 2 CPUs, each run a fresh process,
 medians of 10 alternated pairs (``tools/bench_layers.py pool``,
 ``BENCH_pool.json``):
@@ -52,15 +52,16 @@ The same bench on the code before the ``uniform`` pool, whose
 this machine's noise.
 
 A single pair, a single CPU, a cap of one, a platform without ``fork`` or
-a caller running other threads runs the trials serially, in this
-process. Results come back in configuration order either way, so the
-report is the same bytes.
+a caller running other threads makes one share, which the caller runs
+itself, forking nothing. Results come back in configuration order
+however many shares there are, so the report is the same bytes.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import reduce
@@ -78,6 +79,8 @@ LARGE_SIZE_THRESHOLD = 100_000
 MAX_SIZE = 300_000_000
 # Keys of all a config's trials from which they run on forked workers.
 POOL_FROM_KEYS = {"uniform": 300_000, "crypto": 0}
+# Master seeds are 64-bit: [0, 2**64).
+_MASK64 = (1 << 64) - 1
 
 
 class ConfigError(ValueError):
@@ -108,6 +111,8 @@ class ExperimentConfig:
             raise ConfigError("at least one size is required")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if not 0 <= self.master_seed <= _MASK64:
+            raise ConfigError(f"master seed {self.master_seed} is outside [0, 2**64)")
         if self.mode not in addrgen.MODES:
             raise ConfigError(f"unknown generator mode {self.mode!r}")
         memory = _physical_memory()
@@ -137,9 +142,6 @@ class ExperimentConfig:
                     "for the count chi-square to keep two bins expecting "
                     f">= {stats.MIN_EXPECTED:g} each; use more trials"
                 ) from None
-
-
-_MASK64 = (1 << 64) - 1
 
 
 def _splitmix64(x: int) -> int:
@@ -287,23 +289,32 @@ def _send_share(pairs: list[tuple[int, int]], cfg: ExperimentConfig, pipe_fd: in
         os._exit(status)
 
 
-def _run_forked(pairs: list[tuple[int, int]], cfg: ExperimentConfig,
-                workers: int) -> list[TrieShape]:
-    """``run_trial`` on each pair, in ``workers`` shares: one forked child
-    per share the caller does not run, each sending its results up a pipe."""
+def _run_trials(pairs: list[tuple[int, int]], cfg: ExperimentConfig) -> list[TrieShape]:
+    """``run_trial`` on each (size, trial) pair, results in ``pairs`` order:
+    one share per worker, a child forked for each share the caller does
+    not run, each sending its results up a pipe."""
     import pickle
     import signal
 
+    workers = min(_cpu_count(), len(pairs))
+    memory = _physical_memory()
+    if memory is not None:
+        # each worker holds one trial at a time, the largest at most
+        workers = min(workers, max(1, memory // (max(cfg.sizes) * PREFIX_BYTES)))
+    # A forked child gets only the calling thread, so a lock another
+    # thread holds at the fork would stay held in it forever.
+    if (sum(size for size, _ in pairs) < POOL_FROM_KEYS[cfg.mode]
+            or not hasattr(os, "fork") or threading.active_count() > 1):
+        workers = 1
     shares = _shares(pairs, workers)
-    own: list[int] = []
     if cfg.mode == "uniform":
         # The caller runs a ``uniform`` share itself, with ``numpy.random``
         # loaded once before the fork rather than in every child. A
         # ``crypto`` share would load the window table and Keccak lanes
-        # into the caller too and raise its peak memory, for no speed-up.
+        # into the caller too and raise its peak memory, for no speed-up,
+        # so a ``crypto`` caller runs only a lone share.
         import numpy.random  # noqa: F401
-
-        own = shares.pop(0)
+    own = shares.pop(0) if cfg.mode == "uniform" or workers == 1 else []
     results: dict[int, TrieShape] = {}
     children: dict[int, int] = {}  # pid -> read end of its pipe
     try:
@@ -340,25 +351,6 @@ def _run_forked(pairs: list[tuple[int, int]], cfg: ExperimentConfig,
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     return [results[i] for i in range(len(pairs))]
-
-
-def _run_trials(pairs: list[tuple[int, int]], cfg: ExperimentConfig) -> list[TrieShape]:
-    """``run_trial`` on each (size, trial) pair, results in ``pairs`` order."""
-    workers = min(_cpu_count(), len(pairs))
-    if sum(size for size, _ in pairs) < POOL_FROM_KEYS[cfg.mode]:
-        workers = 1
-    memory = _physical_memory()
-    if memory is not None:
-        # each worker holds one trial at a time, the largest at most
-        workers = min(workers, max(1, memory // (max(cfg.sizes) * PREFIX_BYTES)))
-    if workers > 1 and hasattr(os, "fork"):
-        import threading
-
-        # A forked child gets only the calling thread, so a lock another
-        # thread holds at the fork would stay held in it forever.
-        if threading.active_count() == 1:
-            return _run_forked(pairs, cfg, workers)
-    return [run_trial(size, trial, cfg) for size, trial in pairs]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:

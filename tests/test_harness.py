@@ -42,6 +42,16 @@ def test_config_rejects_zero_trials():
         ExperimentConfig(sizes=(100,), trials=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+def test_config_rejects_master_seed_outside_64_bits(seed):
+    """Seeds are 64-bit: one outside [0, 2**64) would measure the seed it
+    equals modulo 2**64 while the report names it."""
+    with pytest.raises(ConfigError, match=re.escape(f"master seed {seed} is outside [0, 2**64)")):
+        ExperimentConfig(sizes=(100,), master_seed=seed)
+    for edge in (0, 2**64 - 1):
+        assert ExperimentConfig(sizes=(100,), master_seed=edge).master_seed == edge
+
+
 def test_config_rejects_unknown_mode():
     with pytest.raises(ConfigError, match="unknown generator mode 'bogus'"):
         ExperimentConfig(sizes=(100,), mode="bogus")
@@ -302,6 +312,12 @@ def test_crypto_pool_uses_one_worker_per_cpu(monkeypatch):
     assert forks_of(ExperimentConfig(sizes=(50,), trials=1, mode="crypto")) == 0
     assert forks_of(ExperimentConfig(sizes=(30, 40), trials=3)) == 0
     assert forks_of(ExperimentConfig(sizes=(100_000,), trials=4)) == 3
+    # the benchmark's validate-paper, crypto-jobs2 and large-1m configs on
+    # two CPUs, as on the machine that runs it
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+    assert forks_of(ExperimentConfig(sizes=(100, 1_000, 10_000, 100_000), trials=10)) == 1
+    assert forks_of(ExperimentConfig(sizes=(1_000,), trials=4, mode="crypto")) == 2
+    assert forks_of(ExperimentConfig(sizes=(1_000_000,), trials=1, allow_large=True)) == 0
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(60,))
     other.start()
@@ -359,6 +375,26 @@ def test_uniform_pool_report_matches_serial_run(monkeypatch, cpus):
     assert_no_child_left()
     monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
     assert report_to_json(run_experiment(cfg)) == pooled
+
+
+def test_platform_without_fork_runs_every_trial_in_the_caller(monkeypatch):
+    """Where ``os.fork`` is missing, a config that two CPUs would pool is
+    one share, run in this process, with the one-CPU run's report."""
+    cfg = ExperimentConfig(sizes=(100, 1_000), trials=3, master_seed=8)
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
+    serial = report_to_json(run_experiment(cfg))
+    pids = []
+
+    def recorded(size, trial, cfg):
+        pids.append(os.getpid())
+        return run_trial(size, trial, cfg)
+
+    monkeypatch.delattr(harness.os, "fork")
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "POOL_FROM_KEYS", {"uniform": 0, "crypto": 0})
+    monkeypatch.setattr(harness, "run_trial", recorded)
+    assert report_to_json(run_experiment(cfg)) == serial
+    assert pids == [os.getpid()] * 6
 
 
 def pool_every_trial(monkeypatch, run_trial_as):

@@ -176,9 +176,20 @@ def test_cli_usage_error_exit_code():
     assert main(["validate", "--siz", "100"]) == 1  # no abbreviated options
 
 
-def test_cli_config_error_exit_code(capsys):
+def test_cli_config_error_exit_code(tmp_path, monkeypatch, capsys):
     assert main(["simulate", "--sizes", "1", "--trials", "1"]) == 1
     capsys.readouterr()
+    # a master seed outside [0, 2**64), from --seed or PATHLAB_SEED, is
+    # refused before --out is opened
+    out = tmp_path / "report.json"
+    argv = ["simulate", "--sizes", "100", "--trials", "10", "--out", str(out)]
+    for seed in ("18446744073709551617", "-1"):
+        assert main(argv + ["--seed", seed]) == 1
+        assert "outside [0, 2**64)" in capsys.readouterr().err
+    monkeypatch.setenv("PATHLAB_SEED", "-1")
+    assert main(argv) == 1
+    assert "outside [0, 2**64)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, name, make", [
