@@ -23,51 +23,35 @@ address streams of existing ones, and every pair is an independent pure
 function of the configuration, which any process may compute. So the
 pairs run on forked workers, one per CPU this process may use (at most
 one per pair, and no more than physical memory holds trials of the
-largest size), in shares balanced by keys. Each share the caller does
-not run goes to a child forked for it, which pickles its results, or its
-exception, up a pipe; an error anywhere kills and reaps every child
-left. A ``uniform`` caller runs one share itself; a ``crypto`` caller
-only waits, unless there is one share. Whether trials are pooled is a
-cost rule, ``POOL_FROM_KEYS``: a ``crypto`` key costs about 0.11 ms, so
-any two ``crypto`` trials are pooled, but ``uniform`` trials take
-milliseconds and are pooled only from 300,000 keys in all. Pooled over
-serial ``run_experiment`` time on 2 CPUs, each run a fresh process,
-medians of 10 alternated pairs (``tools/bench_layers.py pool``,
-``BENCH_pool.json``):
-
-    ===================== ========= =============== =============
-    config                keys      pooled / serial pooled faster
-    ===================== ========= =============== =============
-    10,000 x 10           100,000   1.119           0 of 10
-    100,000 x 2           200,000   0.950           7 of 10
-    100,000 x 4           400,000   1.002           5 of 10
-    paper (100-100k x 10) 1,111,000 0.868           9 of 10
-    1,000,000 x 2         2,000,000 0.587           10 of 10
-    ``crypto`` 1,000 x 4  4,000     0.693           10 of 10
-    ===================== ========= =============== =============
-
-The same bench on the code before the ``uniform`` pool, whose
-``uniform`` runs are serial both ways, read 0.95 to 1.09 on these
-``uniform`` configs: up to 400,000 keys a fork gains about as much as
-this machine's noise.
+largest size), in shares balanced by keys. A share adds each trial's
+``TrieShape`` into its size's sum and keeps only the trial's mean depth;
+a child forked for it pickles them, or its exception, up a pipe for the
+caller to add, and an error anywhere kills and reaps every child left. A
+``uniform`` caller runs one share itself; a ``crypto`` caller only waits,
+unless there is one share. Whether trials are pooled is a cost rule,
+``POOL_FROM_KEYS``: a ``crypto`` key costs about 0.11 ms, so any two
+``crypto`` trials are pooled, but ``uniform`` trials take milliseconds
+and are pooled only from 300,000 keys in all, where a fork starts to pay
+(``tools/bench_layers.py pool`` measures this into ``BENCH_pool.json``;
+README's bench paragraph gives the figures).
 
 A single pair, a single CPU, a cap of one, a platform without ``fork`` or
 a caller running other threads makes one share, which the caller runs
-itself, forking nothing. Results come back in configuration order
-however many shares there are, so the report is the same bytes.
+itself, forking nothing. Sums are the same in any order and the means
+are read in trial order, so the report is the same bytes however many
+shares there are.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 import threading
-from collections import Counter
 from dataclasses import asdict, dataclass
-from functools import reduce
 
 from . import addrgen, model, stats
-from .trie import PREFIX_BYTES, TrieShape, streamed_shape
+from .trie import EMPTY_SHAPE, PREFIX_BYTES, TrieShape, streamed_shape
 
 SCHEMA_VERSION = 1
 
@@ -85,6 +69,13 @@ _MASK64 = (1 << 64) - 1
 
 class ConfigError(ValueError):
     pass
+
+
+def _integer(field: str, value) -> int:
+    try:
+        return int(operator.index(value))
+    except TypeError:
+        raise ConfigError(f"{field} takes integers, not {value!r}") from None
 
 
 def _physical_memory() -> int | None:
@@ -106,7 +97,9 @@ class ExperimentConfig:
     allow_large: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(self.sizes))
+        object.__setattr__(self, "sizes", tuple(_integer("sizes", n) for n in self.sizes))
+        object.__setattr__(self, "trials", _integer("trials", self.trials))
+        object.__setattr__(self, "master_seed", _integer("master_seed", self.master_seed))
         if not self.sizes:
             raise ConfigError("at least one size is required")
         if self.trials < 1:
@@ -203,15 +196,10 @@ def table_span(probabilities: dict[int, float]) -> list[int]:
     return [k for k in range(start, start + TABLE_ROWS) if k in probabilities]
 
 
-def _aggregate(size: int, trials: list[TrieShape]) -> SizeResult:
-    pooled = reduce(stats.merge, (t.divergence_histogram for t in trials))
-    pooled_nodes = reduce(stats.merge, (t.node_count_histogram for t in trials))
-    trial_means = [t.divergence_histogram.mean() for t in trials]
-    census: dict[int, Counter] = {}
-    for t in trials:
-        for depth, kinds in t.level_census.items():
-            census.setdefault(depth, Counter()).update(kinds)
-
+def _aggregate(size: int, total: TrieShape, trial_means: list[float]) -> SizeResult:
+    """One size's result from its trials' summed shape, ``total``, and each
+    trial's mean divergence depth, in trial order."""
+    pooled, pooled_nodes = total.divergence_histogram, total.node_count_histogram
     dist = model.distribution(model.ModelParams(n=size))
     rows = stats.compare(dist.probabilities, pooled)
 
@@ -241,7 +229,7 @@ def _aggregate(size: int, trials: list[TrieShape]) -> SizeResult:
         table_rows=table_rows,
         chi_square_paper=paper,
         chi_square_counts=counts,
-        level_census={d: census[d] for d in sorted(census)},
+        level_census=total.level_census,
     )
 
 
@@ -253,60 +241,70 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _shares(pairs: list[tuple[int, int]], workers: int) -> list[list[int]]:
-    """Indices into ``pairs`` in ``workers`` shares of about equal keys:
-    each pair, largest first, goes to the share with the fewest keys yet."""
-    shares: list[list[int]] = [[] for _ in range(workers)]
+def _shares(cfg: ExperimentConfig, workers: int) -> list[list[tuple[int, int]]]:
+    """The (size index, trial) pairs of ``cfg`` in ``workers`` shares of about
+    equal keys: each, largest first, goes to the share with the fewest keys yet."""
+    shares: list[list[tuple[int, int]]] = [[] for _ in range(workers)]
     keys = [0] * workers
-    for i in sorted(range(len(pairs)), key=lambda i: -pairs[i][0]):
-        least = keys.index(min(keys))
-        shares[least].append(i)
-        keys[least] += pairs[i][0]
+    for i in sorted(range(len(cfg.sizes)), key=lambda i: -cfg.sizes[i]):
+        for t in range(cfg.trials):
+            least = keys.index(min(keys))
+            shares[least].append((i, t))
+            keys[least] += cfg.sizes[i]
     return shares
 
 
+def _run_share(pairs: list[tuple[int, int]], cfg: ExperimentConfig):
+    """``run_trial`` on each (size index, trial) pair, in the caller or in a
+    forked child: ``(sums, means)``, per size index the sum of its trials'
+    shapes and per pair its trial's mean divergence depth."""
+    sums, means = [EMPTY_SHAPE] * len(cfg.sizes), {}
+    for i, t in pairs:
+        # looked up when called, so that a replacement installed before a
+        # fork (a tracing wrapper, a test's patch) runs in the children too
+        shape = run_trial(cfg.sizes[i], t, cfg)
+        sums[i] += shape
+        means[i, t] = shape.divergence_histogram.mean()
+    return sums, means
+
+
 def _send_share(pairs: list[tuple[int, int]], cfg: ExperimentConfig, pipe_fd: int):
-    """In a forked child: ``run_trial`` on ``pairs``, ``(ok, shapes or the
-    exception)`` pickled into ``pipe_fd``, then ``os._exit``, which flushes
-    none of the stdio buffers copied from the caller. Never returns; the
-    exit status is 0 only once the result is written."""
+    """In a forked child: ``_run_share`` on ``pairs``, ``(ok, its result or
+    the exception)`` pickled into ``pipe_fd``, then ``os._exit``, which
+    flushes none of the stdio buffers copied from the caller. Never returns;
+    the exit status is 0 only once the result is written."""
     import pickle
 
     status = 1
     try:
         try:
-            # ``run_trial`` is looked up when called, so a replacement
-            # installed before the fork (a tracing wrapper, a test's patch)
-            # runs here too
-            result = True, [run_trial(size, trial, cfg) for size, trial in pairs]
+            result = True, _run_share(pairs, cfg)
         except BaseException as exc:  # sent to the caller, which raises it
             result = False, exc
-        data = pickle.dumps(result)
         with open(pipe_fd, "wb") as pipe:
-            pipe.write(data)
+            pipe.write(pickle.dumps(result))
         status = 0
     finally:
         os._exit(status)
 
 
-def _run_trials(pairs: list[tuple[int, int]], cfg: ExperimentConfig) -> list[TrieShape]:
-    """``run_trial`` on each (size, trial) pair, results in ``pairs`` order:
-    one share per worker, a child forked for each share the caller does
-    not run, each sending its results up a pipe."""
+def _run_trials(cfg: ExperimentConfig):
+    """``_run_share`` on all of ``cfg``: a share per worker, each the caller
+    does not run sending its sums and means up a pipe for the caller to add."""
     import pickle
     import signal
 
-    workers = min(_cpu_count(), len(pairs))
+    workers = min(_cpu_count(), len(cfg.sizes) * cfg.trials)
     memory = _physical_memory()
     if memory is not None:
         # each worker holds one trial at a time, the largest at most
         workers = min(workers, max(1, memory // (max(cfg.sizes) * PREFIX_BYTES)))
     # A forked child gets only the calling thread, so a lock another
     # thread holds at the fork would stay held in it forever.
-    if (sum(size for size, _ in pairs) < POOL_FROM_KEYS[cfg.mode]
+    if (sum(cfg.sizes) * cfg.trials < POOL_FROM_KEYS[cfg.mode]
             or not hasattr(os, "fork") or threading.active_count() > 1):
         workers = 1
-    shares = _shares(pairs, workers)
+    shares = _shares(cfg, workers)
     if cfg.mode == "uniform":
         # The caller runs a ``uniform`` share itself, with ``numpy.random``
         # loaded once before the fork rather than in every child. A
@@ -315,7 +313,6 @@ def _run_trials(pairs: list[tuple[int, int]], cfg: ExperimentConfig) -> list[Tri
         # so a ``crypto`` caller runs only a lone share.
         import numpy.random  # noqa: F401
     own = shares.pop(0) if cfg.mode == "uniform" or workers == 1 else []
-    results: dict[int, TrieShape] = {}
     children: dict[int, int] = {}  # pid -> read end of its pipe
     try:
         for share in shares:
@@ -328,11 +325,11 @@ def _run_trials(pairs: list[tuple[int, int]], cfg: ExperimentConfig) -> list[Tri
                 raise
             if pid == 0:
                 os.close(read_fd)
-                _send_share([pairs[i] for i in share], cfg, write_fd)
+                _send_share(share, cfg, write_fd)
             os.close(write_fd)
             children[pid] = read_fd
-        results.update((i, run_trial(*pairs[i], cfg)) for i in own)
-        for pid, share in zip(list(children), shares):
+        sums, means = _run_share(own, cfg)
+        for pid in list(children):
             with open(children[pid], "rb", closefd=False) as pipe:
                 data = pipe.read()
             _, status = os.waitpid(pid, 0)
@@ -343,14 +340,15 @@ def _run_trials(pairs: list[tuple[int, int]], cfg: ExperimentConfig) -> list[Tri
             ok, value = pickle.loads(data)  # bytes a child of this process wrote
             if not ok:
                 raise value
-            results.update(zip(share, value))
+            sums = [a + b for a, b in zip(sums, value[0])]
+            means.update(value[1])
     finally:
         # only on an error: every child left is killed and reaped
         for pid, read_fd in children.items():
             os.close(read_fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return [results[i] for i in range(len(pairs))]
+    return sums, means
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -359,9 +357,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     A size whose ``size * trials`` keys the count chi-square cannot split
     into two bins never gets here: ``ExperimentConfig`` refuses it.
     """
-    trials = _run_trials([(size, t) for size in cfg.sizes for t in range(cfg.trials)], cfg)
+    sums, means = _run_trials(cfg)
     return ExperimentReport(config=cfg, results=[
-        _aggregate(size, trials[i * cfg.trials:(i + 1) * cfg.trials])
+        _aggregate(size, sums[i], [means[i, t] for t in range(cfg.trials)])
         for i, size in enumerate(cfg.sizes)
     ])
 

@@ -18,6 +18,7 @@ from .harness import (
     DEFAULT_SIZES,
     ExperimentConfig,
     ExperimentReport,
+    SizeResult,
     report_to_json,
     run_experiment,
 )
@@ -133,59 +134,45 @@ def _comparison_table(rows, fmt: str) -> str:
     ], fmt)
 
 
+def _size_numbers(r: SizeResult) -> dict[str, str]:
+    """A size's summary numbers, formatted once for every rendering that
+    prints them: the report's md and csv and tables 5 and 6."""
+    paper, counts, model_avg = r.chi_square_paper, r.chi_square_counts, r.model_distribution.mean
+    return dict(
+        size=str(r.size), avg=_f2(r.avg_divergence_depth), nodes=_f2(r.avg_node_count),
+        model_avg=_f2(model_avg), avg_difference=_f2(abs(model_avg - r.avg_divergence_depth)),
+        chi_paper=_f6(paper.statistic), p_paper=f"{paper.p_value:.4f}",
+        chi_counts=_f6(counts.statistic), dof=str(counts.dof), bins=counts.merged_bins,
+        p_counts=f"{counts.p_value:.6e}", p_counts_4g=f"{counts.p_value:.4g}",
+    )
+
+
+# Each size's part of a report, per format: its comparison table, ``{table}``,
+# and the numbers of ``_size_numbers``. Parts are joined by a blank line.
+_SIZE_PART = {
+    "md": ("## {size} addresses\n\n{table}\n\n"
+           "- Average divergence depth: {avg} (model: {model_avg})\n"
+           "- Average node count: {nodes}\n"
+           "- Chi-square (probability basis): {chi_paper}, p = {p_paper}\n"
+           "- Chi-square (count basis, merged): {chi_counts}, dof = {dof}, "
+           "p = {p_counts_4g} [{bins}]\n"),
+    "csv": ("# size={size}\n{table}\n"
+            "# avg_divergence_depth={avg} avg_node_count={nodes}\n"
+            "# chi_square_paper={chi_paper} p={p_paper} chi_square_counts={chi_counts}"
+            " dof={dof} p={p_counts} [{bins}]\n"),
+}
+
+
 def render_report(report: ExperimentReport, fmt: str = "md") -> str:
     """Render an experiment report in the requested format."""
     _check_format(fmt)
     if fmt == "json":
         return report_to_json(report)
-
-    if fmt == "csv":
-        parts = []
-        for r in report.results:
-            parts.append(f"# size={r.size}")
-            parts.append(_comparison_table(r.comparison_rows, fmt))
-            parts.append(
-                f"# avg_divergence_depth={_f2(r.avg_divergence_depth)}"
-                f" avg_node_count={_f2(r.avg_node_count)}"
-            )
-            parts.append(
-                "# chi_square_paper="
-                f"{_f6(r.chi_square_paper.statistic)}"
-                f" p={r.chi_square_paper.p_value:.4f}"
-                " chi_square_counts="
-                f"{_f6(r.chi_square_counts.statistic)}"
-                f" dof={r.chi_square_counts.dof}"
-                f" p={r.chi_square_counts.p_value:.6e}"
-                f" [{r.chi_square_counts.merged_bins}]"
-            )
-            parts.append("")
-        return "\n".join(parts)
-
-    lines = []
-    for r in report.results:
-        lines.append(f"## {r.size} addresses")
-        lines.append("")
-        lines.append(_comparison_table(r.comparison_rows, fmt))
-        lines.append("")
-        lines.append(
-            f"- Average divergence depth: {_f2(r.avg_divergence_depth)} "
-            f"(model: {_f2(r.model_distribution.mean)})"
-        )
-        lines.append(f"- Average node count: {_f2(r.avg_node_count)}")
-        lines.append(
-            f"- Chi-square (probability basis): "
-            f"{_f6(r.chi_square_paper.statistic)}, "
-            f"p = {r.chi_square_paper.p_value:.4f}"
-        )
-        lines.append(
-            f"- Chi-square (count basis, merged): "
-            f"{_f6(r.chi_square_counts.statistic)}, "
-            f"dof = {r.chi_square_counts.dof}, "
-            f"p = {r.chi_square_counts.p_value:.4g} "
-            f"[{r.chi_square_counts.merged_bins}]"
-        )
-        lines.append("")
-    return "\n".join(lines)
+    return "\n".join(
+        _SIZE_PART[fmt].format(**_size_numbers(r),
+                               table=_comparison_table(r.comparison_rows, fmt))
+        for r in report.results
+    )
 
 
 # -- reference-table reproduction -----------------------------------------
@@ -215,14 +202,14 @@ def reproduce_tables(out_dir: str | Path, master_seed: int = 0,
 
     for i, r in enumerate(report.results, start=1):
         write(f"table{i}_path_lengths_{r.size}.csv", _comparison_table(r.table_rows, "csv"))
+    numbers = [_size_numbers(r) for r in report.results]
     write("table5_average_path_lengths.csv", _table(
         [("Number of Addresses", "number_of_addresses"),
          ("Theoretical Avg.", "theoretical_avg"),
          ("Experimental Avg.", "experimental_avg"),
          ("Difference", "difference")],
-        [(str(r.size), _f2(r.model_distribution.mean), _f2(r.avg_divergence_depth),
-          _f2(abs(r.model_distribution.mean - r.avg_divergence_depth)))
-         for r in report.results], "csv"))
+        [(n["size"], n["model_avg"], n["avg"], n["avg_difference"]) for n in numbers],
+        "csv"))
     write("table6_chi_square.csv", _table(
         [("Number of Addresses", "number_of_addresses"),
          ("Chi-Square (probability basis)", "chi_square_paper"),
@@ -230,8 +217,6 @@ def reproduce_tables(out_dir: str | Path, master_seed: int = 0,
          ("Chi-Square (count basis)", "chi_square_counts"),
          ("dof (count basis)", "dof_counts"),
          ("p (count basis)", "p_value_counts")],
-        [(str(r.size), _f6(r.chi_square_paper.statistic),
-          f"{r.chi_square_paper.p_value:.4f}", _f6(r.chi_square_counts.statistic),
-          str(r.chi_square_counts.dof), f"{r.chi_square_counts.p_value:.6e}")
-         for r in report.results], "csv"))
+        [(n["size"], n["chi_paper"], n["p_paper"], n["chi_counts"], n["dof"],
+          n["p_counts"]) for n in numbers], "csv"))
     return paths

@@ -19,7 +19,8 @@ full 20-byte keys only for the rare groups whose prefixes tie.
 :func:`sorted_shape` is its call on one key array. :class:`Trie` is the
 paper's instrument and the oracle the kernel is tested against. Both
 give the census in one format: nibble depth -> ``{"branches": …,
-"extensions": …, "leaves": …}`` (``CENSUS_KINDS``), ascending.
+"extensions": …, "leaves": …}`` (``CENSUS_KINDS``), ascending. Shapes of
+separately measured key sets pool by ``+``, the one merge of a census.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .keyspace import (
     longest_common_prefix,
     to_nibbles,
 )
-from .stats import PathLengthHistogram
+from .stats import PathLengthHistogram, merge
 
 
 @dataclass(slots=True)
@@ -277,6 +278,20 @@ class TrieShape(NamedTuple):
     node_count_histogram: PathLengthHistogram
     level_census: dict[int, dict[str, int]]
 
+    def __add__(self, other: TrieShape) -> TrieShape:
+        """The pooled counts of two separately measured key sets, histograms
+        bin by bin and the census by depth and kind; not the shape of their
+        union's trie. ``EMPTY_SHAPE``, of no keys, is its identity."""
+        none = dict.fromkeys(CENSUS_KINDS, 0)
+        census = {d: {kind: self.level_census.get(d, none)[kind]
+                      + other.level_census.get(d, none)[kind] for kind in CENSUS_KINDS}
+                  for d in sorted(self.level_census.keys() | other.level_census.keys())}
+        return TrieShape(merge(self.divergence_histogram, other.divergence_histogram),
+                         merge(self.node_count_histogram, other.node_count_histogram), census)
+
+
+EMPTY_SHAPE = TrieShape(PathLengthHistogram({}), PathLengthHistogram({}), {})
+
 
 def sorted_shape(keys: np.ndarray) -> TrieShape:
     """Measure the trie of ``keys``, an ``(n, 20)`` uint8 array, through a
@@ -325,7 +340,7 @@ def streamed_shape(read: Callable[[int, int], np.ndarray], count: int) -> TrieSh
     once, as :meth:`Trie.insert` overwrites them.
     """
     if not count:
-        return TrieShape(_histogram([]), _histogram([]), {})
+        return EMPTY_SHAPE
     ordered = _fill_prefixes(read, count)
     ordered.sort()
     padded, tied = _prefix_lcps(ordered)
@@ -370,13 +385,14 @@ def _prefixes(keys: np.ndarray) -> np.ndarray:
 def _read_block(read: Callable[[int, int], np.ndarray], lo: int, hi: int) -> np.ndarray:
     """``read(lo, hi)``, refused unless it is one uint8 row of 20 bytes per
     key: the one check of the keys the kernel reads. numpy would broadcast a
-    single row into the block, and read another dtype's bytes as keys."""
+    single row into the block, and read another dtype's bytes as keys. The
+    block comes back C-ordered, as ``_prefixes`` needs, copied only if not."""
     block = read(lo, hi)
     if block.shape != (hi - lo, ADDRESS_BYTES) or block.dtype != np.uint8:
         raise ValueError(f"read({lo}, {hi}) gave shape {block.shape}, not "
                          f"{(hi - lo, ADDRESS_BYTES)}, of {block.dtype}: keys are "
                          f"an (n, {ADDRESS_BYTES}) uint8 array")
-    return block
+    return np.ascontiguousarray(block)
 
 
 def _fill_prefixes(read: Callable[[int, int], np.ndarray], count: int) -> np.ndarray:

@@ -457,3 +457,42 @@ def test_caller_error_kills_and_reaps_its_workers(monkeypatch):
         run_experiment(ExperimentConfig(sizes=(100,), trials=4))
     assert time.monotonic() - start < 30
     assert_no_child_left()
+
+
+def test_config_stores_numpy_integers_as_ints():
+    """numpy integers are taken as the ints they equal: the seeds, and so
+    the report, are those of the plain config."""
+    import numpy as np
+
+    cfg = ExperimentConfig(sizes=tuple(np.array([100, 1_000])), trials=np.int64(2),
+                           master_seed=np.uint64(3))
+    assert all(type(v) is int for v in (*cfg.sizes, cfg.trials, cfg.master_seed))
+    plain = ExperimentConfig(sizes=(100, 1_000), trials=2, master_seed=3)
+    assert cfg == plain
+    assert report_to_json(run_experiment(cfg)) == report_to_json(run_experiment(plain))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sizes", (100.0,)), ("sizes", ("100",)), ("trials", 2.0), ("master_seed", 1.5),
+])
+def test_config_rejects_non_integers_naming_the_field(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} takes integers, not "):
+        ExperimentConfig(**{"sizes": (100,), field: value})
+
+
+def test_serial_run_keeps_no_shape_per_trial():
+    """A run adds each trial's shape into its size's sum as it comes and
+    keeps only the trial's mean depth: 2,000 trials of 100 keys, serial as
+    they are below ``POOL_FROM_KEYS``, peak below 500 traced bytes a trial."""
+    import tracemalloc
+
+    cfg = ExperimentConfig(sizes=(100,), trials=2_000, master_seed=1)
+    assert sum(cfg.sizes) * cfg.trials < harness.POOL_FROM_KEYS["uniform"]
+    run_experiment(ExperimentConfig(sizes=(100,), trials=2, master_seed=1))  # lazy imports
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500 * cfg.trials, peak / cfg.trials

@@ -534,3 +534,61 @@ def test_kernel_matches_trie_across_chunks_and_blocks(lcps, block):
     rows = np.frombuffer(b"".join(keys), np.uint8).reshape(-1, 20)[::-1]
     with mock.patch.object(trie, "_BLOCK", block):
         assert streamed_shape(reader_of(rows), len(rows)) == oracle_shape(keys)
+
+
+# -- the TrieShape sum ---------------------------------------------------------
+
+
+def random_batches(seed: int, count: int) -> list[list[bytes]]:
+    rng = np.random.default_rng(seed)
+    return [_random_key_batch(rng, int(rng.integers(1, 65))) for _ in range(count)]
+
+
+def test_zero_key_shape_is_the_sum_identity():
+    zero = sorted_shape(np.zeros((0, 20), np.uint8))
+    assert zero == trie.EMPTY_SHAPE == oracle_shape([])
+    assert zero + zero == zero
+    for keys in random_batches(11, 20):
+        shape = kernel_shape(keys)
+        assert zero + shape == shape == shape + zero
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(prefix_batches, min_size=3, max_size=3))
+def test_sum_is_commutative_and_associative(batches):
+    a, b, c = map(kernel_shape, batches)
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    # ascending, as the report lists the census
+    assert list((c + a).level_census) == sorted((c + a).level_census)
+
+
+def test_sum_is_commutative_and_associative_on_random_batches():
+    shapes = [kernel_shape(keys) for keys in random_batches(12, 30)]
+    for a, b, c in zip(shapes, shapes[1:], shapes[2:]):
+        assert a + b == b + a
+        assert (a + b) + c == a + (b + c)
+
+
+def test_summed_kernel_shapes_equal_summed_oracle_shapes():
+    batches = random_batches(13, 12)
+    kernel = oracle = trie.EMPTY_SHAPE
+    for keys in batches:
+        kernel += kernel_shape(keys)
+        oracle += oracle_shape(keys)
+    assert kernel == oracle
+    assert kernel.divergence_histogram.total == sum(len(set(keys)) for keys in batches)
+    assert sum(level["leaves"] for level in kernel.level_census.values()) == \
+        kernel.divergence_histogram.total
+
+
+def test_kernel_reads_keys_of_any_memory_layout():
+    """The kernel's prefix view needs each key's bytes contiguous; a
+    Fortran-ordered or column-strided key array is read as its C-ordered
+    copy would be."""
+    keys = np.random.default_rng(14).integers(0, 256, (1_000, 20), dtype=np.uint8)
+    want = sorted_shape(keys)
+    assert sorted_shape(np.asfortranarray(keys)) == want
+    assert sorted_shape(np.repeat(keys, 2, axis=1)[:, ::2]) == want
+    strided = np.concatenate([keys, keys], 1)[:, ::2]
+    assert sorted_shape(strided) == sorted_shape(strided.copy())

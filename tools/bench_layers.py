@@ -49,7 +49,8 @@ one ``harness.run_experiment`` call per fresh process, alternating
 ``harness.POOL_FROM_KEYS`` set to 0 for every mode, so that a config below
 the ``uniform`` threshold is forked too. The configs are the benchmark's
 ``validate-paper`` and ``crypto-jobs2``, which the program pools as they
-are, and ``uniform`` configs around the threshold. Each way gives the
+are, ``uniform`` configs around the threshold, and 2,000 trials of 100
+keys, where what each trial leaves in the caller shows. Each way gives the
 median ``run_s`` and the largest ``parent_maxrss_mb`` (``RUSAGE_SELF``)
 and ``children_maxrss_mb`` (``RUSAGE_CHILDREN``: the largest worker, 0
 when serial); each config gives ``pooled_over_serial``, the ratio of the
@@ -79,6 +80,7 @@ POOL_CONFIGS = {
     "uniform-1e5x4": {"sizes": (100_000,), "trials": 4, "master_seed": 1, "mode": "uniform"},
     "uniform-1e6x2": {"sizes": (1_000_000,), "trials": 2, "master_seed": 1,
                       "mode": "uniform", "allow_large": True},
+    "uniform-100x2000": {"sizes": (100,), "trials": 2_000, "master_seed": 1, "mode": "uniform"},
 }
 
 
