@@ -5,10 +5,10 @@ Subcommands: ``model`` (analytic queries), ``simulate`` and ``validate``
 tests, written to stdout or to ``--out``, where ``-`` is stdout;
 ``simulate`` defaults to the JSON report, ``validate`` to markdown),
 ``tables`` (reference-table reproduction). ``--format`` takes the names
-in ``pathlab.report.FORMATS``: ``md``, ``csv`` and ``json``. Trials
-run on forked workers, one per available CPU and no more than physical
-memory holds, once a config has enough keys for that to pay
-(``pathlab.harness`` gives the rule); no option chooses this.
+in ``pathlab.report.FORMATS``: ``md``, ``csv`` and ``json``. Any two or
+more trials run on forked workers, one per available CPU and no more than
+physical memory holds (``pathlab.harness`` gives the rule); no option
+chooses this.
 ``simulate`` and ``validate`` still accept a hidden ``--jobs N`` and
 ignore it, so existing command lines keep working.
 

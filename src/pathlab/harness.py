@@ -20,26 +20,25 @@ Reports are a pure function of the configuration. Each (size, trial)
 pair gets its own generator seed derived with splitmix64 from
 (master_seed, size, trial), so adding sizes or trials never perturbs the
 address streams of existing ones, and every pair is an independent pure
-function of the configuration, which any process may compute. So the
-pairs run on forked workers, one per CPU this process may use (at most
-one per pair, and no more than physical memory holds trials of the
+function of the configuration, which any process may compute. So any two
+or more pairs run on forked workers, one per CPU this process may use (at
+most one per pair, and no more than physical memory holds trials of the
 largest size), in shares balanced by keys. A share adds each trial's
 ``TrieShape`` into its size's sum and keeps only the trial's mean depth;
 a child forked for it pickles them, or its exception, up a pipe for the
 caller to add, and an error anywhere kills and reaps every child left. A
-``uniform`` caller runs one share itself; a ``crypto`` caller only waits,
-unless there is one share. Whether trials are pooled is a cost rule,
-``POOL_FROM_KEYS``: a ``crypto`` key costs about 0.11 ms, so any two
-``crypto`` trials are pooled, but ``uniform`` trials take milliseconds
-and are pooled only from 300,000 keys in all, where a fork starts to pay
-(``tools/bench_layers.py pool`` measures this into ``BENCH_pool.json``;
-README's bench paragraph gives the figures).
+``uniform`` caller runs one share itself, with ``numpy.random`` loaded
+once before the fork; a ``crypto`` caller only waits, unless there is one
+share. Both alternatives measured worse on 2 CPUs: a ``crypto`` caller
+running a share raised ``crypto-jobs2`` ``peak_rss_mb`` 29.8 → 39.7 MB; a
+``uniform`` caller only waiting raised ``validate-paper`` ``run_s`` 0.096
+→ 0.107 s in 6 of 6 pairs (its ``peak_rss_mb`` fell only as the workers'
+memory is not counted).
 
-A single pair, a single CPU, a cap of one, a platform without ``fork`` or
-a caller running other threads makes one share, which the caller runs
-itself, forking nothing. Sums are the same in any order and the means
-are read in trial order, so the report is the same bytes however many
-shares there are.
+One pair, one CPU, a cap of one, a platform without ``fork`` or a caller
+running other threads makes one share, run in the caller. Sums are the
+same in any order and the means are read in trial order, so the report
+is the same bytes however many shares there are.
 """
 
 from __future__ import annotations
@@ -49,6 +48,8 @@ import operator
 import os
 import threading
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from . import addrgen, model, stats
 from .trie import EMPTY_SHAPE, PREFIX_BYTES, TrieShape, streamed_shape
@@ -61,8 +62,6 @@ DEFAULT_TRIALS = 10
 # Sizes past the largest validated scale need an explicit opt-in.
 LARGE_SIZE_THRESHOLD = 100_000
 MAX_SIZE = 300_000_000
-# Keys of all a config's trials from which they run on forked workers.
-POOL_FROM_KEYS = {"uniform": 300_000, "crypto": 0}
 # Master seeds are 64-bit: [0, 2**64).
 _MASK64 = (1 << 64) - 1
 
@@ -97,7 +96,13 @@ class ExperimentConfig:
     allow_large: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(_integer("sizes", n) for n in self.sizes))
+        try:
+            sizes = tuple(_integer("sizes", n) for n in self.sizes)
+        except TypeError:
+            raise ConfigError(f"sizes takes an iterable of integers, not {self.sizes!r}") from None
+        object.__setattr__(self, "sizes", sizes)
+        if not isinstance(self.allow_large, (bool, np.bool_)):
+            raise ConfigError(f"allow_large takes a bool, not {self.allow_large!r}")
         object.__setattr__(self, "trials", _integer("trials", self.trials))
         object.__setattr__(self, "master_seed", _integer("master_seed", self.master_seed))
         if not self.sizes:
@@ -301,16 +306,10 @@ def _run_trials(cfg: ExperimentConfig):
         workers = min(workers, max(1, memory // (max(cfg.sizes) * PREFIX_BYTES)))
     # A forked child gets only the calling thread, so a lock another
     # thread holds at the fork would stay held in it forever.
-    if (sum(cfg.sizes) * cfg.trials < POOL_FROM_KEYS[cfg.mode]
-            or not hasattr(os, "fork") or threading.active_count() > 1):
+    if not hasattr(os, "fork") or threading.active_count() > 1:
         workers = 1
     shares = _shares(cfg, workers)
     if cfg.mode == "uniform":
-        # The caller runs a ``uniform`` share itself, with ``numpy.random``
-        # loaded once before the fork rather than in every child. A
-        # ``crypto`` share would load the window table and Keccak lanes
-        # into the caller too and raise its peak memory, for no speed-up,
-        # so a ``crypto`` caller runs only a lone share.
         import numpy.random  # noqa: F401
     own = shares.pop(0) if cfg.mode == "uniform" or workers == 1 else []
     children: dict[int, int] = {}  # pid -> read end of its pipe

@@ -2,9 +2,8 @@
 
 The tool times the kernel's steps through private names (``trie._fill_prefixes``,
 ``_prefix_lcps``, ``_sweep``) and the scalar draw through ``addrgen._draw_scalars``,
-and sets ``harness._cpu_count`` and ``POOL_FROM_KEYS``; a
-rename of any of them would break it without an error anywhere else. Each
-measurement here is one small call in this process.
+and sets ``harness._cpu_count``; a rename of any of them would break it without
+an error anywhere else. Each measurement here is one small call in this process.
 """
 
 import importlib.util
@@ -61,14 +60,12 @@ def test_pool_bench_configs_are_valid():
 
 @pytest.mark.parametrize("way", ["serial", "pooled"])
 def test_pool_bench_runs_each_way(monkeypatch, way):
-    # the bench sets these on the harness; the test puts them back
+    # the bench sets this on the harness; the test puts it back
     monkeypatch.setattr(harness, "_cpu_count", harness._cpu_count)
-    monkeypatch.setattr(harness, "POOL_FROM_KEYS", harness.POOL_FROM_KEYS)
     config = {"sizes": (100,), "trials": 2, "master_seed": 1, "mode": "uniform"}
     assert_row(load_tool().measure_experiment(config, way),
                ["run_s", "parent_maxrss_mb", "children_maxrss_mb"])
     assert (harness._cpu_count() == 1) == (way == "serial")
-    assert (harness.POOL_FROM_KEYS["uniform"] == 0) == (way == "pooled")
 
 
 def test_pool_bench_compares_the_alternated_pairs():

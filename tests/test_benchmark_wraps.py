@@ -19,10 +19,14 @@ def test_traced_validate_tallies_every_harness_layer(tmp_path):
     result = tmp_path / "child.json"
     argv = ["validate", "--sizes", "100,1000", "--trials", "2", "--seed", "1",
             "--jobs", "1", "--format", "json", "--out", str(tmp_path / "r.json")]
+    # pinned to one CPU, so that every trial runs, and is traced, in the
+    # child rather than in workers forked from it
+    cpu = min(os.sched_getaffinity(0))
     out = subprocess.run(
         [sys.executable, "perfbench/child.py", repr(time.monotonic()), "trace",
          str(result), *argv],
         cwd=ROOT, env=dict(os.environ), capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
     )
     assert out.returncode == 0, out.stderr
     child = json.loads(result.read_text())

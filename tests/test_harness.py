@@ -288,9 +288,8 @@ def test_crypto_pool_report_matches_serial_run(monkeypatch):
 def test_crypto_pool_uses_one_worker_per_cpu(monkeypatch):
     """The pool is sized by the CPUs and capped at the number of pairs: a
     ``crypto`` caller forks one worker per share and waits, a ``uniform``
-    caller above ``POOL_FROM_KEYS`` forks one fewer and runs a share itself.
-    ``uniform`` trials below it, a single pair and a caller with other
-    threads never fork."""
+    caller forks one fewer and runs a share itself, however few keys its
+    trials have. A single pair and a caller with other threads never fork."""
     import threading
 
     forks = []
@@ -310,7 +309,7 @@ def test_crypto_pool_uses_one_worker_per_cpu(monkeypatch):
     assert forks_of(crypto_pool_config()) == 4
     assert forks_of(ExperimentConfig(sizes=(30,), trials=3, mode="crypto")) == 3
     assert forks_of(ExperimentConfig(sizes=(50,), trials=1, mode="crypto")) == 0
-    assert forks_of(ExperimentConfig(sizes=(30, 40), trials=3)) == 0
+    assert forks_of(ExperimentConfig(sizes=(30, 40), trials=3)) == 3
     assert forks_of(ExperimentConfig(sizes=(100_000,), trials=4)) == 3
     # the benchmark's validate-paper, crypto-jobs2 and large-1m configs on
     # two CPUs, as on the machine that runs it
@@ -363,13 +362,16 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("cpus", [2, 3])
-def test_uniform_pool_report_matches_serial_run(monkeypatch, cpus):
-    """Above ``POOL_FROM_KEYS`` the ``uniform`` trials run on forked
-    workers, in shares of unequal pair counts, and the report is the same
-    bytes as one CPU's."""
-    cfg = ExperimentConfig(sizes=(100, 1_000, 100_000), trials=3, master_seed=4)
-    assert sum(cfg.sizes) * cfg.trials >= harness.POOL_FROM_KEYS["uniform"]
+@pytest.mark.parametrize("cpus, sizes", [
+    pytest.param(2, (100, 1_000, 100_000), id="2"),
+    pytest.param(3, (100, 1_000, 100_000), id="3"),
+    pytest.param(2, (100, 1_000), id="2-small"),
+])
+def test_uniform_pool_report_matches_serial_run(monkeypatch, cpus, sizes):
+    """``uniform`` trials, of many keys or of few, run on forked workers,
+    in shares of unequal pair counts, and the report is the same bytes as
+    one CPU's."""
+    cfg = ExperimentConfig(sizes=sizes, trials=3, master_seed=4)
     monkeypatch.setattr(harness, "_cpu_count", lambda: cpus)
     pooled = report_to_json(run_experiment(cfg))
     assert_no_child_left()
@@ -391,17 +393,15 @@ def test_platform_without_fork_runs_every_trial_in_the_caller(monkeypatch):
 
     monkeypatch.delattr(harness.os, "fork")
     monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(harness, "POOL_FROM_KEYS", {"uniform": 0, "crypto": 0})
     monkeypatch.setattr(harness, "run_trial", recorded)
     assert report_to_json(run_experiment(cfg)) == serial
     assert pids == [os.getpid()] * 6
 
 
 def pool_every_trial(monkeypatch, run_trial_as):
-    """Two CPUs, every config pooled, ``run_trial`` replaced in the caller
-    and, as forked workers inherit it, in them."""
+    """Two CPUs, ``run_trial`` replaced in the caller and, as forked workers
+    inherit it, in them."""
     monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(harness, "POOL_FROM_KEYS", {"uniform": 0, "crypto": 0})
     monkeypatch.setattr(harness, "run_trial", run_trial_as)
 
 
@@ -460,12 +460,13 @@ def test_caller_error_kills_and_reaps_its_workers(monkeypatch):
 
 
 def test_config_stores_numpy_integers_as_ints():
-    """numpy integers are taken as the ints they equal: the seeds, and so
-    the report, are those of the plain config."""
+    """numpy integers are taken as the ints they equal, and a numpy bool is
+    taken as ``allow_large``: the seeds, and so the report, are those of the
+    plain config."""
     import numpy as np
 
     cfg = ExperimentConfig(sizes=tuple(np.array([100, 1_000])), trials=np.int64(2),
-                           master_seed=np.uint64(3))
+                           master_seed=np.uint64(3), allow_large=np.bool_(False))
     assert all(type(v) is int for v in (*cfg.sizes, cfg.trials, cfg.master_seed))
     plain = ExperimentConfig(sizes=(100, 1_000), trials=2, master_seed=3)
     assert cfg == plain
@@ -480,19 +481,34 @@ def test_config_rejects_non_integers_naming_the_field(field, value):
         ExperimentConfig(**{"sizes": (100,), field: value})
 
 
-def test_serial_run_keeps_no_shape_per_trial():
+@pytest.mark.parametrize("field, value, message", [
+    ("sizes", 100, "sizes takes an iterable of integers, not 100"),
+    ("allow_large", "no", "allow_large takes a bool, not 'no'"),
+    ("allow_large", 1, "allow_large takes a bool, not 1"),
+])
+def test_config_rejects_a_wrong_type_naming_the_field(field, value, message):
+    """A non-bool ``allow_large``, which would open sizes above
+    ``LARGE_SIZE_THRESHOLD`` by its truth, and a ``sizes`` that is no
+    iterable are refused as configuration errors."""
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        ExperimentConfig(**{"sizes": (200_000,), field: value})
+
+
+def test_serial_run_keeps_no_shape_per_trial(monkeypatch):
     """A run adds each trial's shape into its size's sum as it comes and
-    keeps only the trial's mean depth: 2,000 trials of 100 keys, serial as
-    they are below ``POOL_FROM_KEYS``, peak below 500 traced bytes a trial."""
+    keeps only the trial's mean depth: 2,000 trials of 100 keys peak below
+    500 traced bytes a trial in the caller, serial on one CPU and pooled
+    on two, where the caller also adds the worker's sums and means."""
     import tracemalloc
 
     cfg = ExperimentConfig(sizes=(100,), trials=2_000, master_seed=1)
-    assert sum(cfg.sizes) * cfg.trials < harness.POOL_FROM_KEYS["uniform"]
-    run_experiment(ExperimentConfig(sizes=(100,), trials=2, master_seed=1))  # lazy imports
-    tracemalloc.start()
-    try:
-        run_experiment(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 500 * cfg.trials, peak / cfg.trials
+    for cpus in (1, 2):
+        monkeypatch.setattr(harness, "_cpu_count", lambda: cpus)
+        run_experiment(ExperimentConfig(sizes=(100,), trials=2, master_seed=1))  # lazy imports
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500 * cfg.trials, (cpus, peak / cfg.trials)

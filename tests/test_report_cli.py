@@ -366,7 +366,6 @@ print("before the trials")
 sys.exit(cli.main(sys.argv[2:]))
 """
     argv = ["validate", "--sizes", "100,100000", "--trials", "3", "--seed", "2"]
-    assert 100_100 * 3 >= harness.POOL_FROM_KEYS["uniform"]
     src = os.path.dirname(os.path.dirname(pathlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))

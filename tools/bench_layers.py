@@ -45,17 +45,18 @@ measured too.
 
 ``pool`` (the ``POOL_CONFIGS``, 10 calls each way), into ``BENCH_pool.json``:
 one ``harness.run_experiment`` call per fresh process, alternating
-``serial``, with the harness's CPU count forced to 1, and ``pooled``, with
-``harness.POOL_FROM_KEYS`` set to 0 for every mode, so that a config below
-the ``uniform`` threshold is forked too. The configs are the benchmark's
-``validate-paper`` and ``crypto-jobs2``, which the program pools as they
-are, ``uniform`` configs around the threshold, and 2,000 trials of 100
-keys, where what each trial leaves in the caller shows. Each way gives the
-median ``run_s`` and the largest ``parent_maxrss_mb`` (``RUSAGE_SELF``)
-and ``children_maxrss_mb`` (``RUSAGE_CHILDREN``: the largest worker, 0
-when serial); each config gives ``pooled_over_serial``, the ratio of the
-medians, and ``pooled_faster``, the pairs in which ``pooled`` was faster.
-A checkout without the threshold pools only what it always pools.
+``serial``, with the harness's CPU count forced to 1, and ``pooled``, the
+checkout's own rule on this machine's CPUs, so a checkout that runs some
+configs serially reads the same for both ways there. The configs are the
+benchmark's ``validate-paper`` and ``crypto-jobs2``, ``uniform`` configs
+of 10,000 to 2,000,000 keys, among them a tiny one (1,000 keys × 10)
+where a fork costs more than it gains, and 2,000 trials of 100 keys,
+where each trial's fixed cost and what it leaves in the caller show. Each
+way gives the median ``run_s`` and the largest ``parent_maxrss_mb``
+(``RUSAGE_SELF``) and ``children_maxrss_mb`` (``RUSAGE_CHILDREN``: the
+largest worker, 0 when serial); each config gives ``pooled_over_serial``,
+the ratio of the medians, and ``pooled_faster``, the pairs in which
+``pooled`` was faster.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ POOL_CONFIGS = {
     "validate-paper": {"sizes": (100, 1_000, 10_000, 100_000), "trials": 10,
                        "master_seed": 1, "mode": "uniform"},
     "crypto-jobs2": {"sizes": (1_000,), "trials": 4, "master_seed": 1, "mode": "crypto"},
+    "uniform-1e3x10": {"sizes": (1_000,), "trials": 10, "master_seed": 1, "mode": "uniform"},
     "uniform-1e4x10": {"sizes": (10_000,), "trials": 10, "master_seed": 1, "mode": "uniform"},
     "uniform-1e5x2": {"sizes": (100_000,), "trials": 2, "master_seed": 1, "mode": "uniform"},
     "uniform-1e5x4": {"sizes": (100_000,), "trials": 4, "master_seed": 1, "mode": "uniform"},
@@ -179,15 +181,13 @@ def measure_crypto(size: int, repeats: int) -> dict:
 
 def measure_experiment(config: dict, way: str) -> dict:
     """One ``run_experiment`` call on ``config`` in this process, ``serial``
-    or ``pooled``."""
+    (one CPU) or ``pooled`` (the harness's own rule)."""
     import resource
 
     from pathlab import harness
 
     if way == "serial":
         harness._cpu_count = lambda: 1
-    else:
-        harness.POOL_FROM_KEYS = dict.fromkeys(("uniform", "crypto"), 0)
     cfg = harness.ExperimentConfig(**config)
     start = time.perf_counter()
     harness.run_experiment(cfg)
@@ -253,7 +253,7 @@ BENCHES = {
         "description": (
             "tools/bench_layers.py pool: per config, one run_experiment call per "
             "fresh process, `repeats` times each way, alternating serial (CPU "
-            "count forced to 1) and pooled (POOL_FROM_KEYS 0 for every mode); per "
+            "count forced to 1) and pooled (the checkout's own rule); per "
             "way the median run_s, each run_s and the largest parent "
             "(RUSAGE_SELF) and children (RUSAGE_CHILDREN) ru_maxrss; "
             "pooled_over_serial, the ratio of the medians, and pooled_faster, "
