@@ -15,9 +15,10 @@ ignore it, so existing command lines keep working.
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime error.
 An ``--out`` the OS will not open (a missing directory, a directory as
 the report, a file as the tables' directory) is a runtime error, raised
-before any trial runs. ``PATHLAB_SEED`` supplies the default master seed
-when ``--seed`` is not given; a seed outside [0, 2**64) is a
-configuration error.
+before any trial runs; an existing report file is emptied only once the
+new report is rendered, so a run that fails leaves it as it was.
+``PATHLAB_SEED`` supplies the default master seed when ``--seed`` is not
+given; a seed outside [0, 2**64) is a configuration error.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import stat
 import sys
 
 from .addrgen import MODES
@@ -107,10 +109,15 @@ def main(argv=None) -> int:
                 mode=args.mode, allow_large=args.allow_large,
             )
             # Opened before the trials run, so a path that cannot be written
-            # fails at once.
+            # fails at once, but emptied only once the report is rendered, so
+            # a run that fails leaves an existing file as it was. A pipe or a
+            # terminal has nothing to empty.
             out = args.out or "-"
-            with contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w") as fh:
-                fh.write(render_report(run_experiment(cfg), args.fmt))
+            with contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "a") as fh:
+                report = render_report(run_experiment(cfg), args.fmt)
+                if out != "-" and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate(0)
+                fh.write(report)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

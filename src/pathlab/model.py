@@ -20,10 +20,20 @@ import math
 from dataclasses import dataclass, field
 
 MAX_PATH_LENGTH = 41  # 40 nibbles + root
+MAX_KEYS = 16**40  # distinct 40-nibble keys: 2**160
 
 
 class ModelDomainError(ValueError):
     """Argument outside the model's domain."""
+
+
+def _check_key_count(n: int) -> None:
+    """Refuse a key count outside [1, 2**160]: there are no more distinct
+    20-byte keys."""
+    if n < 1:
+        raise ModelDomainError("key count n must be >= 1")
+    if n > MAX_KEYS:
+        raise ModelDomainError("key count n must be <= 2**160, the number of distinct keys")
 
 
 def _no_match_power(k: int, n: int) -> float:
@@ -36,8 +46,7 @@ def pmf(k: int, n: int) -> float:
     """Probability of path length exactly ``k`` among ``n`` keys."""
     if k < 1:
         raise ModelDomainError("path length k must be >= 1")
-    if n < 1:
-        raise ModelDomainError("key count n must be >= 1")
+    _check_key_count(n)
     return _no_match_power(k, n) - _no_match_power(k - 1, n)
 
 
@@ -50,8 +59,7 @@ def cdf(k: int, n: int) -> float:
     """
     if k < 1:
         raise ModelDomainError("path length k must be >= 1")
-    if n < 1:
-        raise ModelDomainError("key count n must be >= 1")
+    _check_key_count(n)
     return _no_match_power(k, n) - _no_match_power(0, n)
 
 
@@ -72,8 +80,7 @@ class ModelParams:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ModelDomainError("key count n must be >= 1")
+        _check_key_count(self.n)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,9 @@ an error anywhere else. Each measurement here is one small call in this process.
 """
 
 import importlib.util
+import json
+import platform
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -80,3 +83,89 @@ def test_pool_bench_compares_the_alternated_pairs():
     assert summary["pooled"]["run_s_each"] == [0.1, 0.2, 0.15]
     assert summary["pooled_over_serial"] == 0.75
     assert summary["pooled_faster"] == 2
+
+
+def test_kernel_bench_leaves_the_steps_as_they_were():
+    from pathlab import trie
+
+    steps = trie._fill_prefixes, trie._prefix_lcps, trie._sweep
+    row = load_tool().measure_kernel(2_000, 2)
+    assert (trie._fill_prefixes, trie._prefix_lcps, trie._sweep) == steps
+    # timed within the same two calls, so their medians, the means of two,
+    # add up to no more than the whole call's (each is rounded to 0.1 ms)
+    assert row["fill_s"] + row["lcp_s"] + row["sweep_s"] <= row["streamed_shape_s"] + 2e-4
+
+
+def run_without_processes(tool, monkeypatch, tmp_path, argv, result):
+    """``tool.main(argv)`` with ``fresh`` giving ``result(name, item)`` and
+    the bench's file in ``tmp_path``: the calls in order, and the file."""
+    calls = []
+
+    def fresh(bench, name, src, item):
+        calls.append((item, name, src))
+        return result(name, item)
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(tool, "fresh", fresh)
+    # the machine's description asks ``uname -p`` for the processor
+    monkeypatch.setattr(platform, "platform", lambda: "a machine")
+    monkeypatch.setattr(subprocess, "run", no_process)
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"runs": {
+        "other": {"sizes": {"7": {"fill_s": 1.0}}},
+        "a": {"sizes": {"5": {"fill_s": 5.0}, "10": {"fill_s": 0.0}}},
+    }}))
+    monkeypatch.setitem(tool.BENCHES[argv[0]], "out", out)
+    assert tool.main(argv) == 0
+    return calls, json.loads(out.read_text())["runs"]
+
+
+def test_kernel_bench_alternates_the_labels_per_size(monkeypatch, tmp_path):
+    tool = load_tool()
+    here = str(ROOT / "src")
+    calls, runs = run_without_processes(
+        tool, monkeypatch, tmp_path,
+        ["kernel", "--label", "a", "--label", f"b={tmp_path}", "--sizes", "10,20,30"],
+        lambda name, item: {"fill_s": float(item), "label": name})
+    assert calls == [("10", "a", here), ("10", "b", str(tmp_path)),
+                     ("20", "b", str(tmp_path)), ("20", "a", here),
+                     ("30", "a", here), ("30", "b", str(tmp_path))]
+    # each label's rows under its own name; the other label and a's row at
+    # a size not measured are kept, and a's row at a measured size replaced
+    assert runs["other"] == {"sizes": {"7": {"fill_s": 1.0}}}
+    assert runs["a"]["sizes"] == {"5": {"fill_s": 5.0},
+                                  **{s: {"fill_s": float(s), "label": "a"}
+                                     for s in ("10", "20", "30")}}
+    assert runs["b"]["sizes"] == {s: {"fill_s": float(s), "label": "b"}
+                                  for s in ("10", "20", "30")}
+    assert runs["a"]["repeats"] == runs["b"]["repeats"] == 3
+
+
+def test_pool_bench_alternates_the_labels_and_the_ways(monkeypatch, tmp_path):
+    tool = load_tool()
+    configs = {name: tool.POOL_CONFIGS[name] for name in ("crypto-jobs2", "uniform-1e3x10")}
+    monkeypatch.setattr(tool, "POOL_CONFIGS", configs)
+    monkeypatch.setitem(tool.BENCHES["pool"], "repeats", 2)
+    runs_s = iter(range(1, 100))
+    calls, runs = run_without_processes(
+        tool, monkeypatch, tmp_path, ["pool", "--label", "a", "--label", "b"],
+        lambda name, item: {"run_s": float(next(runs_s)), "parent_maxrss_mb": 30.0,
+                            "children_maxrss_mb": 0.0})
+    order = [(name, item) for item, name, _ in calls]
+    first_pair = [("a", "serial"), ("a", "pooled"), ("b", "serial"), ("b", "pooled")]
+    expected = []
+    for config in configs:
+        for pair in (first_pair, first_pair[::-1]):
+            expected += [(name, f"{config}:{way}") for name, way in pair]
+    assert order == expected
+    assert runs["other"] == {"sizes": {"7": {"fill_s": 1.0}}}
+    # the file's runs are each label's own: a's first crypto-jobs2 pair ran
+    # first (1, 2), its second after b's (7, 8), pooled first
+    crypto = runs["a"]["configs"]["crypto-jobs2"]
+    assert crypto["serial"]["run_s_each"] == [1.0, 8.0]
+    assert crypto["pooled"]["run_s_each"] == [2.0, 7.0]
+    assert crypto["pooled_faster"] == 1
+    assert set(runs["b"]["configs"]) == set(configs)

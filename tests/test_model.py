@@ -127,3 +127,18 @@ def test_small_n_is_only_an_approximation():
 def test_params_validation():
     with pytest.raises(ModelDomainError):
         ModelParams(n=0)
+
+
+@pytest.mark.parametrize("n", [2**160 + 1, 10**60, 10**400],
+                         ids=["2**160+1", "10**60", "10**400"])
+def test_key_counts_above_the_address_space_are_refused(n):
+    """No trie holds more than 2**160 distinct 20-byte keys."""
+    for call in (lambda: ModelParams(n=n), lambda: pmf(1, n), lambda: cdf(1, n)):
+        with pytest.raises(ModelDomainError, match=r"2\*\*160"):
+            call()
+
+
+def test_every_address_is_a_key_count():
+    n = 2**160
+    assert ModelParams(n=n).n == n
+    assert 0.0 <= pmf(41, n) <= cdf(41, n) <= 1.0

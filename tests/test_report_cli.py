@@ -223,6 +223,54 @@ def test_cli_refused_config_keeps_existing_out_file(tmp_path):
     assert keep.read_bytes() == b"keep"
 
 
+def test_cli_failed_run_keeps_existing_out_file(tmp_path, monkeypatch, capsys):
+    """``--out`` is opened before the trials but emptied only once the
+    report is rendered: a run that fails leaves an existing file as it
+    was, and one that succeeds replaces all of a longer file."""
+    argv = ["validate", "--sizes", "100", "--trials", "4", "--seed", "1"]
+    assert main(argv) == 0
+    report = capsys.readouterr().out
+    keep = tmp_path / "keep.json"
+    keep.write_text("keep" * len(report))
+
+    def fail(*args):
+        raise RuntimeError("trial failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "run_trial", fail)
+        assert main(argv + ["--out", str(keep)]) == 2
+    assert "trial failed" in capsys.readouterr().err
+    assert keep.read_text() == "keep" * len(report)
+    assert main(argv + ["--out", str(keep)]) == 0
+    assert keep.read_text() == report
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_cli_out_dev_stdout_on_a_pipe():
+    """``--out /dev/stdout`` with stdout a pipe, which cannot be emptied,
+    writes the report as ``--out -`` does."""
+    src = os.path.dirname(os.path.dirname(pathlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "pathlab.cli", "validate", "--sizes", "100",
+            "--trials", "2", "--seed", "1", "--out"]
+
+    def stdout(out):
+        return subprocess.run(argv + [out], env=env, capture_output=True,
+                              timeout=120, check=True).stdout
+
+    assert stdout("/dev/stdout") == stdout("-")
+
+
+@pytest.mark.parametrize("n", [2**160 + 1, 10**60, 10**400],
+                         ids=["2**160+1", "10**60", "10**400"])
+def test_cli_model_refuses_more_keys_than_addresses(capsys, n):
+    """Only 2**160 distinct 20-byte keys exist: a larger ``--n`` is a
+    configuration error (exit 1), not a distribution that underflows."""
+    assert main(["model", "--n", str(n)]) == 1
+    assert "2**160" in capsys.readouterr().err
+    assert main(["model", "--n", str(2**160)]) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["tables", "--trials", "0"],
     ["tables", "--trials", "-3"],

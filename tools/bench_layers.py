@@ -1,58 +1,51 @@
 """Layer benches of the trial kernel, ``crypto`` key derivation and the
 trial pool.
 
-    python tools/bench_layers.py {kernel,crypto,pool} --label NAME [--src SRC]
-        [--sizes N,N,...] [--validate-only]
+    python tools/bench_layers.py {kernel,crypto,pool} --label NAME[=SRC] ...
+        [--sizes N,N,...]
 
-For each size of the ``kernel`` and ``crypto`` benches, a fresh process
-imports ``pathlab`` from ``SRC`` (a ``src`` directory of any checkout with
-the steps below), times each step as the median of the bench's ``repeats``
-calls and records ``ru_maxrss_mb``, its peak RSS after all of them. The
-results of every bench go into the bench's file under ``runs[NAME]``, with
-the machine that measured them; other labels already in the file are
-kept, so a parent and a change can share one file. ``--sizes`` replaces the bench's sizes; the label's rows
-at other sizes are kept, so two labels can be measured alternately, one
-size at a time.
+Each ``--label`` is a ``pathlab`` imported from ``SRC``, a ``src``
+directory of any checkout with the steps below (this checkout's by
+default). Each item (a size of ``kernel`` or ``crypto``, a pair of ``pool``
+runs) is measured under every label, each in a fresh process, before the
+next; every other item reverses the order of the labels and of a pair's
+ways, so none always runs first. Each label's results go into the bench's
+file under ``runs[NAME]`` with the machine that measured them, keeping the
+other labels and, as ``--sizes`` replaces the bench's sizes, the label's
+rows at other sizes.
 
-``kernel`` (1e5, 1e6 and 1e7 uniform keys, 3 calls each), into
-``BENCH_sorted_shape.json``. The keys are a ``uniform`` trial's (seed 1),
-read by the kernel a block at a time from ``addrgen.generate`` as the
-harness gives them, so no step holds them whole:
+``kernel`` (1e5, 1e6 and 1e7 keys, 3 calls each), into
+``BENCH_sorted_shape.json``, on a ``uniform`` trial's keys (seed 1), read
+a block at a time from ``addrgen.generate`` as the harness reads them:
 
-- ``streamed_shape_s``: the whole ``trie.streamed_shape`` kernel, key
-  generation included
-- ``fill_s``, ``sort_s``, ``lcp_s``, ``sweep_s``: the kernel's steps, run in
-  order: drawing the keys into the 8-byte prefix array
-  (``trie._fill_prefixes``), sorting it in place, the adjacent LCPs
-  (``trie._prefix_lcps``) and the lcp-interval sweep (``trie._sweep``)
-- ``kernel_peak_bytes_per_key``: the whole kernel's tracemalloc peak over
-  the key count
+- ``streamed_shape_s``: the whole ``trie.streamed_shape``, keys drawn included
+- ``fill_s``, ``lcp_s``, ``sweep_s``: in the same calls, its steps:
+  drawing the keys into the 8-byte prefix array (``trie._fill_prefixes``),
+  the adjacent LCPs (``trie._prefix_lcps``) and the lcp-interval sweep
+  (``trie._sweep``); ``sort_s``: the rest, the sort and any tie pass
+- ``kernel_peak_bytes_per_key``: its tracemalloc peak over the key count
 - ``validate_s``, ``validate_maxrss_mb``: a one-trial ``pathlab validate``
-  of the size in its own fresh process, wall time and ``ru_maxrss``
+  of the size, run first in a child process, wall time and ``ru_maxrss``
 
-``--validate-only`` measures only ``validate_*``, which any checkout's
-command line gives, so a parent from before the streamed kernel can be
-measured too.
+A time is the median of the bench's ``repeats`` calls; ``ru_maxrss_mb``
+is the process's peak RSS after all of them.
 
 ``crypto`` (1,000 and 4,096 keys, 5 calls each), into ``BENCH_crypto.json``:
 
 - ``window_table_s``: ``secp256k1.window_table`` built cold (cache cleared)
-- ``draw_s``: ``addrgen._draw_scalars``, the scalar draw of ``crypto``
-  mode, on seed 1's stream
+- ``draw_s``: ``addrgen._draw_scalars``, ``crypto``'s scalar draw, seed 1
 - ``public_keys_s``: ``secp256k1.public_keys`` on the drawn scalars
 - ``keccak256_rows_s``: ``keccak.keccak256_rows`` on the public keys
 - ``generate_s``: the whole ``addrgen.generate`` call, table already built
 
-``pool`` (the ``POOL_CONFIGS``, 10 calls each way), into ``BENCH_pool.json``:
-one ``harness.run_experiment`` call per fresh process, alternating
-``serial``, with the harness's CPU count forced to 1, and ``pooled``, the
-checkout's own rule on this machine's CPUs, so a checkout that runs some
-configs serially reads the same for both ways there. The configs are the
-benchmark's ``validate-paper`` and ``crypto-jobs2``, ``uniform`` configs
-of 10,000 to 2,000,000 keys, among them a tiny one (1,000 keys × 10)
-where a fork costs more than it gains, and 2,000 trials of 100 keys,
-where each trial's fixed cost and what it leaves in the caller show. Each
-way gives the median ``run_s`` and the largest ``parent_maxrss_mb``
+``pool`` (the ``POOL_CONFIGS``, 10 pairs each), into ``BENCH_pool.json``:
+one ``harness.run_experiment`` call per process, ``serial`` (the
+harness's CPU count forced to 1) and ``pooled`` (the checkout's own rule
+on this machine's CPUs), on the benchmark's ``validate-paper`` and
+``crypto-jobs2`` and on ``uniform`` configs of 10,000 to 2,000,000 keys,
+among them 1,000 keys × 10, where a fork costs more than it gains, and
+2,000 trials of 100 keys, where a trial's fixed cost shows. Each way
+gives each ``run_s``, their median and the largest ``parent_maxrss_mb``
 (``RUSAGE_SELF``) and ``children_maxrss_mb`` (``RUSAGE_CHILDREN``: the
 largest worker, 0 when serial); each config gives ``pooled_over_serial``,
 the ratio of the medians, and ``pooled_faster``, the pairs in which
@@ -84,6 +77,7 @@ POOL_CONFIGS = {
                       "mode": "uniform", "allow_large": True},
     "uniform-100x2000": {"sizes": (100,), "trials": 2_000, "master_seed": 1, "mode": "uniform"},
 }
+WAYS = ("serial", "pooled")
 
 
 def _median_time(fn, repeats: int):
@@ -104,7 +98,8 @@ def _finish_row(row: dict) -> dict:
 
 
 def measure_kernel(size: int, repeats: int) -> dict:
-    """Time one size in this process; ``pathlab`` must be importable."""
+    """Time one size in this process; ``pathlab`` must be importable. The
+    steps are wrapped in ``trie`` for the timed calls and put back after."""
     import tracemalloc
 
     from pathlab import addrgen, trie
@@ -112,26 +107,31 @@ def measure_kernel(size: int, repeats: int) -> dict:
     def read(lo, hi):
         return addrgen.generate(hi - lo, 1, "uniform", lo)
 
-    row = {}
-    row["streamed_shape_s"], _ = _median_time(
-        lambda: trie.streamed_shape(read, size), repeats)
-    steps = {"fill_s": [], "sort_s": [], "lcp_s": [], "sweep_s": []}
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        ordered = trie._fill_prefixes(read, size)
-        t1 = time.perf_counter()
-        ordered.sort()
-        t2 = time.perf_counter()
-        # indexed, not unpacked: other checkouts return a different number
-        padded = trie._prefix_lcps(ordered)[0]
-        t3 = time.perf_counter()
-        del ordered
-        trie._sweep(padded)
-        t4 = time.perf_counter()
-        del padded
-        for name, t in zip(steps, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
-            steps[name].append(t)
-    row.update((name, statistics.median(times)) for name, times in steps.items())
+    steps = {"fill_s": "_fill_prefixes", "lcp_s": "_prefix_lcps", "sweep_s": "_sweep"}
+    originals = {key: getattr(trie, name) for key, name in steps.items()}
+    calls = []
+
+    def timed(key):
+        def call(*args):
+            start = time.perf_counter()
+            result = originals[key](*args)
+            calls[-1][key] = time.perf_counter() - start
+            return result
+        return call
+
+    try:
+        for key, name in steps.items():
+            setattr(trie, name, timed(key))
+        for _ in range(repeats):
+            calls.append({})
+            start = time.perf_counter()
+            trie.streamed_shape(read, size)
+            total = calls[-1]["streamed_shape_s"] = time.perf_counter() - start
+            calls[-1]["sort_s"] = total - sum(calls[-1][key] for key in steps)
+    finally:
+        for key, name in steps.items():
+            setattr(trie, name, originals[key])
+    row = {key: statistics.median(call[key] for call in calls) for key in calls[0]}
     tracemalloc.start()
     try:
         trie.streamed_shape(read, size)
@@ -191,8 +191,7 @@ def measure_experiment(config: dict, way: str) -> dict:
     cfg = harness.ExperimentConfig(**config)
     start = time.perf_counter()
     harness.run_experiment(cfg)
-    run_s = time.perf_counter() - start
-    return {"run_s": run_s,
+    return {"run_s": time.perf_counter() - start,
             "parent_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "children_maxrss_mb":
                 resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024}
@@ -220,121 +219,121 @@ BENCHES = {
         "out": ROOT / "BENCH_sorted_shape.json",
         "sizes": (100_000, 1_000_000, 10_000_000),
         "repeats": 3,
-        "measure": measure_kernel,
         "description": (
-            "tools/bench_layers.py kernel: per size, a fresh process times "
-            "trie.streamed_shape and its steps (fill, sort, lcp, sweep) on a "
-            "uniform trial's keys read a block at a time (medians of `repeats` "
-            "calls), the kernel's tracemalloc peak over the key count and "
-            "ru_maxrss; validate_*: a one-trial `pathlab validate` in its own "
-            "fresh process, wall time and ru_maxrss (the only keys of a "
-            "--validate-only run)"
+            "tools/bench_layers.py kernel: per size, labels alternated, a fresh process "
+            "times trie.streamed_shape and, in the same calls, its fill, lcp and sweep "
+            "steps, sort_s the rest (medians of `repeats` calls), its tracemalloc peak "
+            "per key, ru_maxrss, and a one-trial `pathlab validate` (validate_*)"
         ),
     },
     "crypto": {
         "out": ROOT / "BENCH_crypto.json",
         "sizes": (1_000, 4_096),
         "repeats": 5,
-        "measure": measure_crypto,
         "description": (
-            "tools/bench_layers.py crypto: per batch size, a fresh process times "
-            "the cold secp256k1 window table, the crypto scalar draw, "
-            "secp256k1.public_keys, keccak.keccak256_rows and the whole "
-            "addrgen.generate (medians of `repeats` calls), and ru_maxrss; "
-            "`experiment` (earlier runs only; the pool bench measures it now): one "
-            "run_experiment call on the crypto-jobs2 config per fresh process, "
-            "`repeats` times serial (CPU count forced to 1) and pooled, median "
-            "run_s and the largest parent and children ru_maxrss"
+            "tools/bench_layers.py crypto: per batch size, labels alternated, a fresh "
+            "process times the cold window table, the scalar draw, public_keys, "
+            "keccak256_rows and generate (medians of `repeats` calls), and ru_maxrss"
         ),
     },
     "pool": {
         "out": ROOT / "BENCH_pool.json",
         "repeats": 10,
         "description": (
-            "tools/bench_layers.py pool: per config, one run_experiment call per "
-            "fresh process, `repeats` times each way, alternating serial (CPU "
-            "count forced to 1) and pooled (the checkout's own rule); per "
-            "way the median run_s, each run_s and the largest parent "
-            "(RUSAGE_SELF) and children (RUSAGE_CHILDREN) ru_maxrss; "
-            "pooled_over_serial, the ratio of the medians, and pooled_faster, "
-            "the pairs in which pooled was faster"
+            "tools/bench_layers.py pool: per config, labels and ways alternated, "
+            "`repeats` pairs of fresh-process run_experiment calls, serial (one CPU) "
+            "and pooled (the checkout's rule); per way each run_s, their median and "
+            "the largest parent and children ru_maxrss; pooled_over_serial, the "
+            "medians' ratio; pooled_faster, the pairs in which pooled was faster"
         ),
     },
 }
 
 
+def measure(bench: str, item: str, src: str) -> dict:
+    """One item of ``bench`` in this process, with ``pathlab`` from ``src``:
+    a size of ``kernel`` or ``crypto``, or a ``CONFIG:WAY`` run of ``pool``."""
+    sys.path.insert(0, src)
+    if bench == "pool":
+        config, way = item.split(":")
+        return measure_experiment(POOL_CONFIGS[config], way)
+    size, repeats = int(item), BENCHES[bench]["repeats"]
+    if bench == "crypto":
+        return measure_crypto(size, repeats)
+    # the validate first, so that RUSAGE_CHILDREN is the validate's alone
+    return {**measure_validate(size, src), **measure_kernel(size, repeats)}
+
+
+def fresh(bench: str, name: str, src: str, item: str) -> dict:
+    """:func:`measure` in a fresh process of this tool."""
+    out = subprocess.run(
+        [sys.executable, __file__, bench, "--label", f"{name}={src}", "--one", item],
+        stdout=subprocess.PIPE, text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def alternate(bench: str, labels: dict, rounds: list) -> dict:
+    """``{name: {item: [result, ...]}}``: each round's items measured under
+    every label (``labels`` maps names to ``SRC``) before the next round,
+    labels and items in reverse order every other round."""
+    results = {name: {} for name in labels}
+    for i, items in enumerate(rounds):
+        order = slice(None, None, -1 if i % 2 else 1)
+        for name in list(labels)[order]:
+            for item in items[order]:
+                result = fresh(bench, name, labels[name], item)
+                results[name].setdefault(item, []).append(result)
+                print(name, item, result, file=sys.stderr)
+    return results
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("bench", choices=sorted(BENCHES))
-    ap.add_argument("--src", default=str(ROOT / "src"),
-                    help="src directory to import pathlab from")
-    ap.add_argument("--label", required=True, help="name of this run in the output")
+    ap.add_argument("--label", action="append", required=True, metavar="NAME[=SRC]",
+                    help="a run's name in the output and the src directory of its "
+                    "pathlab (default: this checkout's)")
     ap.add_argument("--sizes", type=lambda text: [int(n) for n in text.split(",")],
                     help="comma-separated sizes in place of the bench's")
-    ap.add_argument("--validate-only", action="store_true",
-                    help="kernel: measure only the one-trial validate")
-    ap.add_argument("--one", type=int, help=argparse.SUPPRESS)
-    ap.add_argument("--validate", type=int, help=argparse.SUPPRESS)
-    ap.add_argument("--experiment", choices=("serial", "pooled"), help=argparse.SUPPRESS)
-    ap.add_argument("--config", choices=sorted(POOL_CONFIGS), help=argparse.SUPPRESS)
+    ap.add_argument("--one", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     bench = BENCHES[args.bench]
-    if args.validate_only and args.bench != "kernel":
-        ap.error("--validate-only applies to the kernel bench")
+    labels = {name: str(Path(src or ROOT / "src").resolve())
+              for name, _, src in (text.partition("=") for text in args.label)}
+    if len(labels) < len(args.label):
+        ap.error("each --label needs a name of its own")
     if args.sizes and args.bench == "pool":
         ap.error("the pool bench measures its configs, not sizes")
 
-    if args.validate is not None:
-        print(json.dumps(measure_validate(args.validate, args.src)))
-        return 0
-    if args.one is not None or args.experiment is not None:
-        sys.path.insert(0, args.src)
-        if args.one is not None:
-            print(json.dumps(bench["measure"](args.one, bench["repeats"])))
-        else:
-            print(json.dumps(measure_experiment(POOL_CONFIGS[args.config],
-                                                args.experiment)))
+    if args.one is not None:
+        [src] = labels.values()
+        print(json.dumps(measure(args.bench, args.one, src)))
         return 0
 
-    def fresh(*extra) -> dict:
-        out = subprocess.run(
-            [sys.executable, __file__, args.bench, "--src", args.src,
-             "--label", args.label, *extra],
-            capture_output=True, text=True, check=True,
-        )
-        return json.loads(out.stdout.splitlines()[-1])
-
-    run = {"repeats": bench["repeats"]}
     if args.bench == "pool":
-        run["configs"] = {}
-        for name in POOL_CONFIGS:
-            calls = {"serial": [], "pooled": []}
-            for _ in range(bench["repeats"]):
-                for way, runs in calls.items():
-                    runs.append(fresh("--experiment", way, "--config", name))
-                    print(args.label, name, way, runs[-1], file=sys.stderr)
-            run["configs"][name] = {"config": POOL_CONFIGS[name], **summarize_ways(calls)}
+        rounds = [[f"{config}:{way}" for way in WAYS]
+                  for config in POOL_CONFIGS for _ in range(bench["repeats"])]
     else:
-        run["sizes"] = {}
-        for size in args.sizes or bench["sizes"]:
-            row = {} if args.validate_only else fresh("--one", str(size))
-            if args.bench == "kernel":
-                # its own process: RUSAGE_CHILDREN would also count this one's
-                # earlier children
-                row.update(fresh("--validate", str(size)))
-            run["sizes"][str(size)] = row
-            print(args.label, size, row, file=sys.stderr)
+        rounds = [[str(size)] for size in args.sizes or bench["sizes"]]
+    measured = alternate(args.bench, labels, rounds)
 
     import numpy as np
 
-    run["machine"] = {"cpus": os.cpu_count(), "python": platform.python_version(),
-                      "numpy": np.__version__, "platform": platform.platform()}
+    machine = {"cpus": os.cpu_count(), "python": platform.python_version(),
+               "numpy": np.__version__, "platform": platform.platform()}
     results = json.loads(bench["out"].read_text()) if bench["out"].exists() else {"runs": {}}
     results["description"] = bench["description"]
-    if "sizes" in run:
-        run["sizes"] = {**results["runs"].get(args.label, {}).get("sizes", {}),
-                        **run["sizes"]}
-    results["runs"][args.label] = run
+    for name, items in measured.items():
+        run = {"repeats": bench["repeats"], "machine": machine}
+        if args.bench == "pool":
+            run["configs"] = {
+                config: {"config": POOL_CONFIGS[config], **summarize_ways(
+                    {way: items[f"{config}:{way}"] for way in WAYS})}
+                for config in POOL_CONFIGS}
+        else:
+            run["sizes"] = {**results["runs"].get(name, {}).get("sizes", {}),
+                            **{size: rows[0] for size, rows in items.items()}}
+        results["runs"][name] = run
     bench["out"].write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
     return 0
 
