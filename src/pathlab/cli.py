@@ -7,8 +7,10 @@ tests, written to stdout or to ``--out``, where ``-`` is stdout;
 ``tables`` (reference-table reproduction). ``--format`` takes the names
 in ``pathlab.report.FORMATS``: ``md``, ``csv`` and ``json``. Any two or
 more trials run on forked workers, one per available CPU and no more than
-physical memory holds (``pathlab.harness`` gives the rule); no option
-chooses this.
+physical memory holds, and a trial of 1,000,000 keys or more is measured
+in parts on the CPUs the trials leave idle, in one shared buffer of 8
+bytes a key (``pathlab.harness`` gives the rules); no option chooses
+this.
 ``simulate`` and ``validate`` still accept a hidden ``--jobs N`` and
 ignore it, so existing command lines keep working.
 

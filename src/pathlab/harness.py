@@ -24,21 +24,30 @@ function of the configuration, which any process may compute. So any two
 or more pairs run on forked workers, one per CPU this process may use (at
 most one per pair, and no more than physical memory holds trials of the
 largest size), in shares balanced by keys. A share adds each trial's
-``TrieShape`` into its size's sum and keeps only the trial's mean depth;
-a child forked for it pickles them, or its exception, up a pipe for the
-caller to add, and an error anywhere kills and reaps every child left. A
-``uniform`` caller runs one share itself, with ``numpy.random`` loaded
-once before the fork; a ``crypto`` caller only waits, unless there is one
-share. Both alternatives measured worse on 2 CPUs: a ``crypto`` caller
-running a share raised ``crypto-jobs2`` ``peak_rss_mb`` 29.8 → 39.7 MB; a
-``uniform`` caller only waiting raised ``validate-paper`` ``run_s`` 0.096
-→ 0.107 s in 6 of 6 pairs (its ``peak_rss_mb`` fell only as the workers'
-memory is not counted).
+``TrieShape`` into its size's sum and keeps only the trial's mean depth.
+:func:`_fork_map` is the one runner: a child forked for a task pickles its
+result, or its exception, up a pipe for the caller, and an error anywhere
+kills and reaps every child left. A ``uniform`` caller runs one share
+itself, with ``numpy.random`` loaded once before the fork; a ``crypto``
+caller only waits, unless there is one share. Both alternatives measured
+worse on 2 CPUs: a ``crypto`` caller running a share raised
+``crypto-jobs2`` ``peak_rss_mb`` 29.8 → 39.7 MB; a ``uniform`` caller only
+waiting raised ``validate-paper`` ``run_s`` 0.096 → 0.107 s in 6 of 6
+pairs (its ``peak_rss_mb`` fell only as the workers' memory is not
+counted).
 
-One pair, one CPU, a cap of one, a platform without ``fork`` or a caller
-running other threads makes one share, run in the caller. Sums are the
-same in any order and the means are read in trial order, so the report
-is the same bytes however many shares there are.
+CPUs the shares leave idle, when there are fewer pairs than CPUs (or
+memory caps the workers), measure each trial of ``SPLIT_FROM_KEYS`` keys
+or more, in either mode, in parts: ``CPUs // workers`` of them, through
+the same runner (:func:`pathlab.split.split_shape`). The parts share one
+buffer of 8 bytes a key, so a trial counts once against physical memory
+however many parts measure it.
+
+One pair of fewer than ``SPLIT_FROM_KEYS`` keys, one CPU, a platform
+without ``fork`` or a caller running other threads makes one share, run
+in the caller, in one part. Sums are the same in any order and the means
+are read in trial order, so the report is the same bytes however many
+shares and parts there are.
 """
 
 from __future__ import annotations
@@ -48,10 +57,12 @@ import operator
 import os
 import threading
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
 from . import addrgen, model, stats
+from .split import split_shape
 from .trie import EMPTY_SHAPE, PREFIX_BYTES, TrieShape, streamed_shape
 
 SCHEMA_VERSION = 1
@@ -62,6 +73,10 @@ DEFAULT_TRIALS = 10
 # Sizes past the largest validated scale need an explicit opt-in.
 LARGE_SIZE_THRESHOLD = 100_000
 MAX_SIZE = 300_000_000
+# Trials of at least this many keys are measured in parts where CPUs would
+# idle: on 2 CPUs, one trial of 1e6 keys took 0.77-0.86 of its serial time
+# in two parts, and one of 2e5 keys 1.02-1.12 (``BENCH_pool.json``).
+SPLIT_FROM_KEYS = 1_000_000
 # Master seeds are 64-bit: [0, 2**64).
 _MASK64 = (1 << 64) - 1
 
@@ -179,12 +194,20 @@ class ExperimentReport:
     results: list[SizeResult]
 
 
-def run_trial(size: int, trial: int, cfg: ExperimentConfig) -> TrieShape:
-    """Measure trial ``trial`` of ``size`` keys: the kernel's ``TrieShape``."""
+def run_trial(size: int, trial: int, cfg: ExperimentConfig, parts: int = 1) -> TrieShape:
+    """Measure trial ``trial`` of ``size`` keys: the kernel's ``TrieShape``,
+    in up to ``parts`` processes at once if ``size`` is at least
+    ``SPLIT_FROM_KEYS``."""
     seed = trial_seed(cfg.master_seed, size, trial)
-    # ``generate`` is looked up on the module at each call, so that a
-    # wrapper installed on it sees every block the kernel reads
-    return streamed_shape(lambda lo, hi: addrgen.generate(hi - lo, seed, cfg.mode, lo), size)
+
+    def read(lo: int, hi: int) -> np.ndarray:
+        # ``generate`` is looked up on the module at each call, so that a
+        # wrapper installed on it sees every block the kernel reads
+        return addrgen.generate(hi - lo, seed, cfg.mode, lo)
+
+    if parts > 1 and size >= SPLIT_FROM_KEYS:
+        return split_shape(read, size, parts, _fork_map)
+    return streamed_shape(read, size)
 
 
 TABLE_ROWS = 6
@@ -259,31 +282,31 @@ def _shares(cfg: ExperimentConfig, workers: int) -> list[list[tuple[int, int]]]:
     return shares
 
 
-def _run_share(pairs: list[tuple[int, int]], cfg: ExperimentConfig):
-    """``run_trial`` on each (size index, trial) pair, in the caller or in a
-    forked child: ``(sums, means)``, per size index the sum of its trials'
-    shapes and per pair its trial's mean divergence depth."""
+def _run_share(pairs: list[tuple[int, int]], cfg: ExperimentConfig, parts: int):
+    """``run_trial`` on each (size index, trial) pair, in up to ``parts``
+    parts: ``(sums, means)``, per size index the sum of its trials' shapes
+    and per pair its trial's mean divergence depth."""
     sums, means = [EMPTY_SHAPE] * len(cfg.sizes), {}
     for i, t in pairs:
         # looked up when called, so that a replacement installed before a
         # fork (a tracing wrapper, a test's patch) runs in the children too
-        shape = run_trial(cfg.sizes[i], t, cfg)
+        shape = run_trial(cfg.sizes[i], t, cfg, parts)
         sums[i] += shape
         means[i, t] = shape.divergence_histogram.mean()
     return sums, means
 
 
-def _send_share(pairs: list[tuple[int, int]], cfg: ExperimentConfig, pipe_fd: int):
-    """In a forked child: ``_run_share`` on ``pairs``, ``(ok, its result or
-    the exception)`` pickled into ``pipe_fd``, then ``os._exit``, which
-    flushes none of the stdio buffers copied from the caller. Never returns;
-    the exit status is 0 only once the result is written."""
+def _send(task, pipe_fd: int):
+    """In a forked child: ``(ok, task()'s result or its exception)`` pickled
+    into ``pipe_fd``, then ``os._exit``, which flushes none of the stdio
+    buffers copied from the caller. Never returns; the exit status is 0
+    only once the result is written."""
     import pickle
 
     status = 1
     try:
         try:
-            result = True, _run_share(pairs, cfg)
+            result = True, task()
         except BaseException as exc:  # sent to the caller, which raises it
             result = False, exc
         with open(pipe_fd, "wb") as pipe:
@@ -293,28 +316,18 @@ def _send_share(pairs: list[tuple[int, int]], cfg: ExperimentConfig, pipe_fd: in
         os._exit(status)
 
 
-def _run_trials(cfg: ExperimentConfig):
-    """``_run_share`` on all of ``cfg``: a share per worker, each the caller
-    does not run sending its sums and means up a pipe for the caller to add."""
+def _fork_map(tasks: list, here: bool = True) -> list:
+    """Each of ``tasks``, functions of no argument, called at once: the
+    first in this process if ``here``, every other in a child forked for it
+    that sends its result up a pipe. Returns the results in task order; a
+    child's exception is raised here, and an error anywhere kills and reaps
+    every child left. The one place pathlab forks."""
     import pickle
     import signal
 
-    workers = min(_cpu_count(), len(cfg.sizes) * cfg.trials)
-    memory = _physical_memory()
-    if memory is not None:
-        # each worker holds one trial at a time, the largest at most
-        workers = min(workers, max(1, memory // (max(cfg.sizes) * PREFIX_BYTES)))
-    # A forked child gets only the calling thread, so a lock another
-    # thread holds at the fork would stay held in it forever.
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        workers = 1
-    shares = _shares(cfg, workers)
-    if cfg.mode == "uniform":
-        import numpy.random  # noqa: F401
-    own = shares.pop(0) if cfg.mode == "uniform" or workers == 1 else []
-    children: dict[int, int] = {}  # pid -> read end of its pipe
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     try:
-        for share in shares:
+        for task in tasks[1:] if here else tasks:
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -324,29 +337,58 @@ def _run_trials(cfg: ExperimentConfig):
                 raise
             if pid == 0:
                 os.close(read_fd)
-                _send_share(share, cfg, write_fd)
+                _send(task, write_fd)
             os.close(write_fd)
-            children[pid] = read_fd
-        sums, means = _run_share(own, cfg)
-        for pid in list(children):
-            with open(children[pid], "rb", closefd=False) as pipe:
+            children.append((pid, read_fd))
+        results = [tasks[0]()] if here else []
+        while children:
+            pid, read_fd = children[0]
+            with open(read_fd, "rb", closefd=False) as pipe:
                 data = pipe.read()
             _, status = os.waitpid(pid, 0)
-            os.close(children.pop(pid))
+            os.close(read_fd)
+            children.pop(0)
             if not data:
                 raise RuntimeError(f"a trial worker exited with status "
                                    f"{os.waitstatus_to_exitcode(status)} without a result")
             ok, value = pickle.loads(data)  # bytes a child of this process wrote
             if not ok:
                 raise value
-            sums = [a + b for a, b in zip(sums, value[0])]
-            means.update(value[1])
+            results.append(value)
     finally:
         # only on an error: every child left is killed and reaped
-        for pid, read_fd in children.items():
+        for pid, read_fd in children:
             os.close(read_fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    return results
+
+
+def _run_trials(cfg: ExperimentConfig):
+    """``_run_share`` on all of ``cfg``, a share per worker: per size index
+    the sum of its trials' shapes and per pair its trial's mean depth."""
+    cpus = _cpu_count()
+    # A forked child gets only the calling thread, so a lock another
+    # thread holds at the fork would stay held in it forever.
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        cpus = 1
+    workers = min(cpus, len(cfg.sizes) * cfg.trials)
+    memory = _physical_memory()
+    if memory is not None:
+        # each worker holds one trial at a time, the largest at most, in
+        # one buffer however many parts measure it
+        workers = min(workers, max(1, memory // (max(cfg.sizes) * PREFIX_BYTES)))
+    if cfg.mode == "uniform":
+        import numpy.random  # noqa: F401
+    # the CPUs the shares leave idle measure each large trial in parts
+    parts = cpus // workers
+    results = _fork_map([partial(_run_share, share, cfg, parts)
+                         for share in _shares(cfg, workers)],
+                        here=cfg.mode == "uniform" or workers == 1)
+    sums, means = results[0]
+    for other_sums, other_means in results[1:]:
+        sums = [a + b for a, b in zip(sums, other_sums)]
+        means.update(other_means)
     return sums, means
 
 

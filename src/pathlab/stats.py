@@ -60,11 +60,12 @@ class PathLengthHistogram:
 
 
 def merge(a: PathLengthHistogram, b: PathLengthHistogram) -> PathLengthHistogram:
-    """Bin-wise sum; associative and commutative, empty histogram is identity."""
+    """Bin-wise sum, bins ascending; associative and commutative, empty
+    histogram is identity."""
     counts = dict(a.counts)
     for k, c in b.counts.items():
         counts[k] = counts.get(k, 0) + c
-    return PathLengthHistogram(counts)
+    return PathLengthHistogram(dict(sorted(counts.items())))
 
 
 @dataclass(frozen=True)

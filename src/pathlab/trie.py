@@ -16,7 +16,8 @@ census for a key set, as a :class:`TrieShape`, without building the trie
 and without holding the keys: it reads them a block at a time and keeps
 each key's first 8 bytes, sorted as unsigned 64-bit integers, turning to
 full 20-byte keys only for the rare groups whose prefixes tie.
-:func:`sorted_shape` is its call on one key array. :class:`Trie` is the
+:func:`sorted_shape` is its call on one key array, and
+:func:`pathlab.split.split_shape` its run in parts. :class:`Trie` is the
 paper's instrument and the oracle the kernel is tested against. Both
 give the census in one format: nibble depth -> ``{"branches": …,
 "extensions": …, "leaves": …}`` (``CENSUS_KINDS``), ascending. Shapes of
@@ -338,6 +339,13 @@ def streamed_shape(read: Callable[[int, int], np.ndarray], count: int) -> TrieSh
     ``_BLOCK`` entries: one block of keys while the prefixes are filled,
     and temporaries of a few blocks in each step. Duplicate keys count
     once, as :meth:`Trie.insert` overwrites them.
+
+    The harness measures a trial of 1,000,000 keys or more in parts where
+    CPUs would idle (:func:`pathlab.split.split_shape`): the same steps,
+    but the fill, the LCPs and the sweep run in ranges on forked processes
+    sharing one prefix buffer, so the memory is the same 8 bytes a key in
+    all of them together. It falls back to this function where the keys
+    have no adjacent LCP below 2 or two prefixes tie.
     """
     if not count:
         return EMPTY_SHAPE
@@ -395,26 +403,31 @@ def _read_block(read: Callable[[int, int], np.ndarray], lo: int, hi: int) -> np.
     return np.ascontiguousarray(block)
 
 
-def _fill_prefixes(read: Callable[[int, int], np.ndarray], count: int) -> np.ndarray:
-    """The prefixes of keys 0 .. ``count - 1``, read a block at a time."""
-    prefixes = np.empty(count, np.uint64)
+def _fill_prefixes(read: Callable[[int, int], np.ndarray], count: int,
+                   prefixes: np.ndarray | None = None, start: int = 0) -> np.ndarray:
+    """The prefixes of keys ``start`` .. ``start + count - 1``, read a block
+    at a time, into ``prefixes`` (``count`` entries) or a new array."""
+    if prefixes is None:
+        prefixes = np.empty(count, np.uint64)
     for lo, hi in _blocks(count):
         # no name holds the block, so it is freed before the next is read
-        prefixes[lo:hi] = _prefixes(_read_block(read, lo, hi))
+        prefixes[lo:hi] = _prefixes(_read_block(read, start + lo, start + hi))
     return prefixes
 
 
-def _prefix_lcps(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _prefix_lcps(ordered: np.ndarray, ends: tuple[int, int] = (-1, -1)
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Nibble LCPs of adjacent sorted prefixes, taken a block at a time and
-    written over the front of ``ordered``, a ``uint64`` array that owns its
-    data and that no view reads: it is consumed.
+    written over the front of ``ordered``, a contiguous ``uint64`` array
+    that no view reads: it is consumed.
 
     Returns ``padded``, whose entry ``j`` is the LCP between keys ``j - 1``
-    and ``j`` (-1 past either end), held in the first ``n + 1`` bytes of
-    ``ordered``'s buffer, shrunk to them; and the prefixes that tie with
-    the next one, one entry per such pair. A tie is an LCP of 16 in
-    ``padded``, the count for a zero xor only, and at least 16 on the full
-    keys.
+    and ``j`` (``ends`` before the first and past the last: -1 for a whole
+    key set), held in the first ``n + 1`` bytes of ``ordered``'s buffer,
+    which is shrunk to them if ``ordered`` owns it; and the prefixes that
+    tie with the next one, one entry per such pair. A tie is an LCP of 16
+    in ``padded``, the count for a zero xor only, and at least 16 on the
+    full keys.
     """
     n = len(ordered)
     out = ordered.view(np.int8)
@@ -426,11 +439,12 @@ def _prefix_lcps(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         xor = np.bitwise_xor(ordered[i + 1:j + 1], ordered[i:j], out=block[:j - i])
         tied.append(ordered[i:j][xor == 0])
         out[i + 1:j + 1] = leading_zero_nibbles(xor)
-    out[0] = out[n] = -1
+    out[0], out[n] = ends
     del out
-    # No view of the buffer is alive, so a shrink that moves it leaves
-    # nothing pointing at the old one.
-    ordered.resize(-(-(n + 1) // PREFIX_BYTES), refcheck=False)
+    if ordered.flags.owndata:
+        # No view of the buffer is alive, so a shrink that moves it leaves
+        # nothing pointing at the old one.
+        ordered.resize(-(-(n + 1) // PREFIX_BYTES), refcheck=False)
     return ordered.view(np.int8)[:n + 1], np.concatenate(tied)
 
 
@@ -520,10 +534,14 @@ def _branch_ranges(padded: np.ndarray, reach: np.ndarray, d: int):
         yield start, stop
 
 
-def _sweep(padded: np.ndarray) -> TrieShape:
+def _sweep(padded: np.ndarray, first: int = 0,
+           nodes_above: np.ndarray | None = None) -> TrieShape:
     """The lcp-interval sweep: read the trie off adjacent distinct keys'
     LCPs, ``padded`` as :func:`_prefix_lcps` gives them (see
-    :func:`streamed_shape`)."""
+    :func:`streamed_shape`), for the branches at depths ``first`` and
+    deeper. ``nodes_above``, consumed, gives the nodes above each key at
+    shallower depths as steps, each entry the change from the key before;
+    None when there are none."""
     n = len(padded) - 1
     leaves = _counts(np.maximum(padded[lo:hi], padded[lo + 1:hi + 1]) + 1
                      for lo, hi in _blocks(n))
@@ -534,13 +552,13 @@ def _sweep(padded: np.ndarray) -> TrieShape:
     np.maximum(reach[:-1], padded[1:], out=reach[:-1])
 
     top = int(padded.max()) + 1
-    branches = []
+    branches = [0] * top
     extensions = np.zeros(top, np.int64)
     # Nodes above each key's leaf, as +w at the first key of a branch's
     # range and -w past its last: w = 1, or 2 when an extension leads to it.
-    nodes_above = np.zeros(n + 1, np.int8)
-    for d in range(top):
-        branches.append(0)
+    if nodes_above is None:
+        nodes_above = np.zeros(n + 1, np.int8)
+    for d in range(first, top):
         for start, stop in _branch_ranges(padded, reach, d):
             parent = np.maximum(padded[start], padded[stop])
             extended = parent < d - 1

@@ -289,7 +289,8 @@ def test_crypto_pool_uses_one_worker_per_cpu(monkeypatch):
     """The pool is sized by the CPUs and capped at the number of pairs: a
     ``crypto`` caller forks one worker per share and waits, a ``uniform``
     caller forks one fewer and runs a share itself, however few keys its
-    trials have. A single pair and a caller with other threads never fork."""
+    trials have. A single pair forks only for the parts of a trial of
+    ``SPLIT_FROM_KEYS`` or more, and a caller with other threads never forks."""
     import threading
 
     forks = []
@@ -316,7 +317,7 @@ def test_crypto_pool_uses_one_worker_per_cpu(monkeypatch):
     monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
     assert forks_of(ExperimentConfig(sizes=(100, 1_000, 10_000, 100_000), trials=10)) == 1
     assert forks_of(ExperimentConfig(sizes=(1_000,), trials=4, mode="crypto")) == 2
-    assert forks_of(ExperimentConfig(sizes=(1_000_000,), trials=1, allow_large=True)) == 0
+    assert forks_of(ExperimentConfig(sizes=(1_000_000,), trials=1, allow_large=True)) == 1
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(60,))
     other.start()
@@ -335,15 +336,30 @@ def test_crypto_pool_holds_no_more_trials_than_physical_memory(monkeypatch):
     process, not on two workers that would hold two trials at once."""
     pids = []
 
-    def recorded(size, trial, cfg):
+    def recorded(size, trial, cfg, *parts):
         pids.append(os.getpid())  # only this process's calls reach the list
-        return run_trial(size, trial, cfg)
+        return run_trial(size, trial, cfg, *parts)
 
     monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
     monkeypatch.setattr(harness, "_physical_memory", lambda: 2 * 40 * 8 - 1)
     monkeypatch.setattr(harness, "run_trial", recorded)
     run_experiment(crypto_pool_config())
     assert pids == [os.getpid()] * 6
+
+
+def test_memory_for_one_trial_still_splits_it(monkeypatch):
+    """Memory for one trial of 2,000 keys, 8 bytes a key, admits the config
+    and, on two CPUs, the trial's two parts: they share its buffer."""
+    monkeypatch.setattr(harness, "_physical_memory", lambda: 2_000 * 8 + 1)
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "SPLIT_FROM_KEYS", 1_000)
+    parts = []
+    monkeypatch.setattr(harness, "split_shape", lambda read, count, n, run:
+                        parts.append(n) or trie.streamed_shape(read, count))
+    run_experiment(ExperimentConfig(sizes=(2_000,), trials=1))
+    assert parts == [2]
+    with pytest.raises(ConfigError, match="more than the 16,001 bytes"):
+        ExperimentConfig(sizes=(2_001,), trials=1)
 
 
 def test_crypto_pool_worker_error_reaches_caller(monkeypatch):
@@ -387,9 +403,9 @@ def test_platform_without_fork_runs_every_trial_in_the_caller(monkeypatch):
     serial = report_to_json(run_experiment(cfg))
     pids = []
 
-    def recorded(size, trial, cfg):
+    def recorded(size, trial, cfg, *parts):
         pids.append(os.getpid())
-        return run_trial(size, trial, cfg)
+        return run_trial(size, trial, cfg, *parts)
 
     monkeypatch.delattr(harness.os, "fork")
     monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
@@ -430,10 +446,10 @@ def test_uniform_worker_failure_reaches_caller(monkeypatch, in_worker, error, me
     exception does not pickle, is an error naming its exit status."""
     caller = os.getpid()
 
-    def failing_in_workers(size, trial, cfg):
+    def failing_in_workers(size, trial, cfg, *parts):
         if os.getpid() != caller:
             in_worker()
-        return run_trial(size, trial, cfg)
+        return run_trial(size, trial, cfg, *parts)
 
     pool_every_trial(monkeypatch, failing_in_workers)
     with pytest.raises(error, match=message):
@@ -446,7 +462,7 @@ def test_caller_error_kills_and_reaps_its_workers(monkeypatch):
     theirs at once: the run does not wait out their minute."""
     caller = os.getpid()
 
-    def stuck_or_broken(size, trial, cfg):
+    def stuck_or_broken(size, trial, cfg, *parts):
         if os.getpid() != caller:
             time.sleep(60)
         raise ValueError("the caller's share failed")

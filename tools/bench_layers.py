@@ -25,7 +25,9 @@ a block at a time from ``addrgen.generate`` as the harness reads them:
   (``trie._sweep``); ``sort_s``: the rest, the sort and any tie pass
 - ``kernel_peak_bytes_per_key``: its tracemalloc peak over the key count
 - ``validate_s``, ``validate_maxrss_mb``: a one-trial ``pathlab validate``
-  of the size, run first in a child process, wall time and ``ru_maxrss``
+  of the size, run first in a child process, wall time and ``ru_maxrss``;
+  ``validate_run_s``: the child's ``cli.main`` call alone, timed in it, as
+  below 1e7 keys the process start is most of ``validate_s``
 
 A time is the median of the bench's ``repeats`` calls; ``ru_maxrss_mb``
 is the process's peak RSS after all of them.
@@ -43,8 +45,9 @@ one ``harness.run_experiment`` call per process, ``serial`` (the
 harness's CPU count forced to 1) and ``pooled`` (the checkout's own rule
 on this machine's CPUs), on the benchmark's ``validate-paper`` and
 ``crypto-jobs2`` and on ``uniform`` configs of 10,000 to 2,000,000 keys,
-among them 1,000 keys × 10, where a fork costs more than it gains, and
-2,000 trials of 100 keys, where a trial's fixed cost shows. Each way
+among them 1,000 keys × 10, where a fork costs more than it gains,
+2,000 trials of 100 keys, where a trial's fixed cost shows, and one trial
+of 200,000, 1e6 and 1e7 keys, which ``pooled`` measures in parts. Each way
 gives each ``run_s``, their median and the largest ``parent_maxrss_mb``
 (``RUSAGE_SELF``) and ``children_maxrss_mb`` (``RUSAGE_CHILDREN``: the
 largest worker, 0 when serial); each config gives ``pooled_over_serial``,
@@ -74,6 +77,14 @@ POOL_CONFIGS = {
     "uniform-1e5x2": {"sizes": (100_000,), "trials": 2, "master_seed": 1, "mode": "uniform"},
     "uniform-1e5x4": {"sizes": (100_000,), "trials": 4, "master_seed": 1, "mode": "uniform"},
     "uniform-1e6x2": {"sizes": (1_000_000,), "trials": 2, "master_seed": 1,
+                      "mode": "uniform", "allow_large": True},
+    # one pair each: measured in parts where CPUs are idle, sizes on either
+    # side of the rule (LARGE_SIZE_THRESHOLD, 100,000 keys)
+    "uniform-2e5x1": {"sizes": (200_000,), "trials": 1, "master_seed": 1,
+                      "mode": "uniform", "allow_large": True},
+    "uniform-1e6x1": {"sizes": (1_000_000,), "trials": 1, "master_seed": 1,
+                      "mode": "uniform", "allow_large": True},
+    "uniform-1e7x1": {"sizes": (10_000_000,), "trials": 1, "master_seed": 1,
                       "mode": "uniform", "allow_large": True},
     "uniform-100x2000": {"sizes": (100,), "trials": 2_000, "master_seed": 1, "mode": "uniform"},
 }
@@ -142,18 +153,26 @@ def measure_kernel(size: int, repeats: int) -> dict:
     return _finish_row(row)
 
 
+# Times one ``cli.main`` call with the arguments given it and prints the time.
+_TIMED_CLI = ("import sys, time\nfrom pathlab import cli\nstart = time.perf_counter()\n"
+              "code = cli.main(sys.argv[1:])\nprint(time.perf_counter() - start)\n"
+              "sys.exit(code)\n")
+
+
 def measure_validate(size: int, src: str) -> dict:
-    """A one-trial ``validate`` of ``size`` keys in a fresh process."""
+    """A one-trial ``validate`` of ``size`` keys in a fresh process: its
+    wall time, and that of its ``cli.main`` call alone, without the start."""
     import resource
 
     start = time.perf_counter()
-    subprocess.run(
-        [sys.executable, "-m", "pathlab.cli", "validate", "--sizes", str(size),
+    out = subprocess.run(
+        [sys.executable, "-c", _TIMED_CLI, "validate", "--sizes", str(size),
          "--trials", "1", "--seed", "1", "--allow-large", "--format", "json",
          "--out", os.devnull],
-        env=dict(os.environ, PYTHONPATH=src), check=True,
-    )
+        env=dict(os.environ, PYTHONPATH=src), check=True, stdout=subprocess.PIPE, text=True,
+    ).stdout
     return {"validate_s": round(time.perf_counter() - start, 4),
+            "validate_run_s": round(float(out), 4),
             "validate_maxrss_mb": round(
                 resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, 1)}
 
