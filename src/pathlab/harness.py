@@ -39,9 +39,9 @@ counted).
 CPUs the shares leave idle, when there are fewer pairs than CPUs (or
 memory caps the workers), measure each trial of ``SPLIT_FROM_KEYS`` keys
 or more, in either mode, in parts: ``CPUs // workers`` of them, through
-the same runner (:func:`pathlab.split.split_shape`). The parts share one
-buffer of 8 bytes a key, so a trial counts once against physical memory
-however many parts measure it.
+the same runner (:func:`pathlab.split.split_shape`, every trial's one
+measure). The parts share one buffer of 8 bytes a key, so a trial counts
+once against physical memory however many parts measure it.
 
 One pair of fewer than ``SPLIT_FROM_KEYS`` keys, one CPU, a platform
 without ``fork`` or a caller running other threads makes one share, run
@@ -63,7 +63,7 @@ import numpy as np
 
 from . import addrgen, model, stats
 from .split import split_shape
-from .trie import EMPTY_SHAPE, PREFIX_BYTES, TrieShape, streamed_shape
+from .trie import EMPTY_SHAPE, PREFIX_BYTES, TrieShape
 
 SCHEMA_VERSION = 1
 
@@ -205,9 +205,7 @@ def run_trial(size: int, trial: int, cfg: ExperimentConfig, parts: int = 1) -> T
         # wrapper installed on it sees every block the kernel reads
         return addrgen.generate(hi - lo, seed, cfg.mode, lo)
 
-    if parts > 1 and size >= SPLIT_FROM_KEYS:
-        return split_shape(read, size, parts, _fork_map)
-    return streamed_shape(read, size)
+    return split_shape(read, size, parts if size >= SPLIT_FROM_KEYS else 1, _fork_map)
 
 
 TABLE_ROWS = 6

@@ -26,6 +26,7 @@ separately measured key sets pool by ``+``, the one merge of a census.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 from collections.abc import Callable
 from itertools import zip_longest
@@ -341,20 +342,40 @@ def streamed_shape(read: Callable[[int, int], np.ndarray], count: int) -> TrieSh
     once, as :meth:`Trie.insert` overwrites them.
 
     The harness measures a trial of 1,000,000 keys or more in parts where
-    CPUs would idle (:func:`pathlab.split.split_shape`): the same steps,
-    but the fill, the LCPs and the sweep run in ranges on forked processes
-    sharing one prefix buffer, so the memory is the same 8 bytes a key in
-    all of them together. It falls back to this function where the keys
-    have no adjacent LCP below 2 or two prefixes tie.
+    CPUs would idle (:func:`pathlab.split.split_shape`): the fill runs in
+    parts and the sort once, on one prefix buffer the parts share, so the
+    memory is the same 8 bytes a key in all of them together. Each part
+    measures a range of the sorted prefixes with the function this one
+    ends in, :func:`_range_shape`, its ties included.
     """
-    if not count:
-        return EMPTY_SHAPE
     ordered = _fill_prefixes(read, count)
     ordered.sort()
-    padded, tied = _prefix_lcps(ordered)
-    if len(tied):
-        padded = _resolve_ties(read, padded, tied)
-    return _sweep(padded)
+    return _range_shape(read, count, ordered)
+
+
+def _range_shape(read: Callable[[int, int], np.ndarray], count: int, ordered: np.ndarray,
+                 ends: tuple[int, int] = (-1, -1), first: int = 0,
+                 above: np.ndarray | None = None) -> TrieShape:
+    """The shape of ``ordered``, consumed, a range of the sorted prefixes of
+    the ``count`` keys that ``read`` gives, or all of them: the one measure
+    of sorted prefixes, for a whole trial and for each part of a split one.
+    Its LCPs, with ``ends`` at its ends, its ties resolved on the full keys,
+    and the sweep from depth ``first``, with ``above[v]`` nodes at shallower
+    depths above each key whose first nibble is ``v``, or none.
+    """
+    if not len(ordered):
+        return EMPTY_SHAPE
+    if above is not None:
+        # where each first nibble's keys begin, read before the LCPs overwrite them
+        starts = np.searchsorted(ordered, np.arange(16, dtype=np.uint64) << np.uint64(60))
+    padded, tied = _prefix_lcps(ordered, ends)
+    padded, dropped = _resolve_ties(read, count, padded, tied) if len(tied) else (padded, [])
+    steps = None
+    if above is not None:
+        steps = np.zeros(len(padded), np.int8)
+        # a nibble's first key, never dropped, moves back past those dropped before it
+        np.add.at(steps, starts - np.searchsorted(dropped, starts), np.diff(above, prepend=0))
+    return _sweep(padded, first, steps)
 
 
 PREFIX_BYTES = 8
@@ -423,11 +444,12 @@ def _prefix_lcps(ordered: np.ndarray, ends: tuple[int, int] = (-1, -1)
 
     Returns ``padded``, whose entry ``j`` is the LCP between keys ``j - 1``
     and ``j`` (``ends`` before the first and past the last: -1 for a whole
-    key set), held in the first ``n + 1`` bytes of ``ordered``'s buffer,
-    which is shrunk to them if ``ordered`` owns it; and the prefixes that
-    tie with the next one, one entry per such pair. A tie is an LCP of 16
-    in ``padded``, the count for a zero xor only, and at least 16 on the
-    full keys.
+    key set), held in the first ``n + 1`` bytes of ``ordered``'s buffer;
+    and the prefixes that tie with the next one, one entry per such pair.
+    A tie is an LCP of 16 in ``padded``, the count for a zero xor only, and
+    at least 16 on the full keys. The rest of the buffer is freed: shrunk
+    away if ``ordered`` owns it, or its pages removed, in every process
+    that maps them, if ``ordered`` is a view of an ``mmap``.
     """
     n = len(ordered)
     out = ordered.view(np.int8)
@@ -445,6 +467,13 @@ def _prefix_lcps(ordered: np.ndarray, ends: tuple[int, int] = (-1, -1)
         # No view of the buffer is alive, so a shrink that moves it leaves
         # nothing pointing at the old one.
         ordered.resize(-(-(n + 1) // PREFIX_BYTES), refcheck=False)
+    elif isinstance(getattr(ordered.base, "obj", None), mmap.mmap):
+        # a view of a mapping: Linux removes its pages in every process
+        page = mmap.PAGESIZE
+        start = ordered.ctypes.data - np.frombuffer(ordered.base, np.uint8).ctypes.data
+        free, end = -(-(start + n + 1) // page) * page, (start + n * PREFIX_BYTES) // page * page
+        if end > free and hasattr(mmap, "MADV_REMOVE"):
+            ordered.base.obj.madvise(mmap.MADV_REMOVE, free, end - free)
     return ordered.view(np.int8)[:n + 1], np.concatenate(tied)
 
 
@@ -459,25 +488,28 @@ def _full_key_lcps(rows: np.ndarray) -> np.ndarray:
     return lcp
 
 
-def _resolve_ties(read: Callable[[int, int], np.ndarray], padded: np.ndarray,
-                  tied: np.ndarray) -> np.ndarray:
+def _resolve_ties(read: Callable[[int, int], np.ndarray], count: int, padded: np.ndarray,
+                  tied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``padded`` with its ties, the LCPs of ``PREFIX_NIBBLES``, taken on
     the full keys, and without the LCPs of equal keys, so that each counts
-    once. ``tied`` holds the prefixes of the ties.
+    once; and the positions in ``padded`` of those dropped, ascending.
+    ``tied`` holds the prefixes of the ties.
 
-    Only the rows whose prefix is one of the tied ones are kept from the
-    blocks :func:`_read_block` gives again. In full-key order each tied
-    group is a run of them, and its adjacent pairs are the ties in order,
-    the only adjacent rows sharing 16 nibbles or more.
+    Only the rows whose prefix is one of the tied ones are kept from all
+    ``count`` keys, read again by :func:`_read_block`; every such row sorts
+    into ``padded``'s range. In full-key order each tied group is a run of
+    them, and its adjacent pairs are the ties in order, the only adjacent
+    rows sharing 16 nibbles or more.
     """
     rows = []
-    for lo, hi in _blocks(len(padded) - 1):
+    for lo, hi in _blocks(count):
         block = _read_block(read, lo, hi)
         rows.append(block[np.isin(_prefixes(block), tied)])
     rows = np.sort(np.concatenate(rows).view(f"S{ADDRESS_BYTES}").ravel())
     full = _full_key_lcps(rows.view(np.uint8).reshape(-1, ADDRESS_BYTES))
     padded[padded == PREFIX_NIBBLES] = full[full >= PREFIX_NIBBLES]
-    return padded[padded != ADDRESS_NIBBLES]
+    equal = padded == ADDRESS_NIBBLES
+    return padded[~equal], np.flatnonzero(equal)
 
 
 def _counts(blocks) -> list[int]:

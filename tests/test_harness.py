@@ -353,9 +353,9 @@ def test_memory_for_one_trial_still_splits_it(monkeypatch):
     monkeypatch.setattr(harness, "_physical_memory", lambda: 2_000 * 8 + 1)
     monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
     monkeypatch.setattr(harness, "SPLIT_FROM_KEYS", 1_000)
-    parts = []
+    parts, measure = [], harness.split_shape
     monkeypatch.setattr(harness, "split_shape", lambda read, count, n, run:
-                        parts.append(n) or trie.streamed_shape(read, count))
+                        parts.append(n) or measure(read, count, n, run))
     run_experiment(ExperimentConfig(sizes=(2_000,), trials=1))
     assert parts == [2]
     with pytest.raises(ConfigError, match="more than the 16,001 bytes"):

@@ -1,6 +1,8 @@
 """Differential tests of the split kernel against the serial one and the
-Trie oracle: the cuts, the fallbacks, the parts' processes and memory."""
+Trie oracle: the cuts, the ties and duplicates each part resolves, the
+keys each process reads, the parts' processes and memory."""
 
+import mmap
 import os
 import subprocess
 import sys
@@ -18,12 +20,10 @@ from test_harness import assert_no_child_left
 from test_sorted_shape import diverging_at, oracle_shape, reader_of
 
 
-def split_of(rows: np.ndarray, parts: int):
-    return split.split_shape(reader_of(rows), len(rows), parts, harness._fork_map)
-
-
-def assert_split_matches(rows: np.ndarray, parts: int):
-    got = split_of(rows, parts)
+def assert_split_matches(rows: np.ndarray, parts: int, read=None):
+    """The split of ``rows``, read by ``read`` (their slices by default),
+    equals the serial kernel's and the oracle's shape."""
+    got = split.split_shape(read or reader_of(rows), len(rows), parts, harness._fork_map)
     assert_no_child_left()
     assert got == trie.streamed_shape(reader_of(rows), len(rows))
     assert got == oracle_shape([bytes(k) for k in rows])
@@ -41,8 +41,26 @@ def grouped(seed: int, counts: dict[int, int]) -> np.ndarray:
 
 
 def cuts_of(rows: np.ndarray, parts: int):
-    plan = split._plan(np.sort(trie._prefixes(rows)), parts)
-    return None if plan is None else plan[1:3]
+    """The plan's cuts, and the LCPs there."""
+    ranges = split._plan(np.sort(trie._prefixes(rows)), parts)[2]
+    return ([r[0] for r in ranges] + [ranges[-1][1]],
+            [r[2][0] for r in ranges] + [ranges[-1][2][1]])
+
+
+def counted_reader(rows: np.ndarray):
+    """A reader of ``rows``, the times each row was read in any process (a
+    mapping forked parts share), and the ``(lo, hi)`` reads made in this one."""
+    hits = np.frombuffer(mmap.mmap(-1, len(rows) * 8), np.int64)
+    here = []
+
+    def read(lo, hi):
+        hits[lo:hi] += 1
+        if os.getpid() == caller:
+            here.append((lo, hi))
+        return rows[lo:hi]
+
+    caller = os.getpid()
+    return read, hits, here
 
 
 @pytest.mark.parametrize("parts", [2, 3, 4, 7])
@@ -83,21 +101,15 @@ def test_one_key_parts():
 
 
 @pytest.mark.parametrize("parts", [2, 3])
-def test_keys_without_an_lcp_below_2_fall_back(monkeypatch, parts):
-    """Every key shares its first byte, so there is nowhere to cut: the keys
-    are measured again by the serial kernel, in this process."""
+def test_keys_without_an_lcp_below_2_are_one_range_read_once(parts):
+    """Every key shares its first byte, so there is nowhere to cut: part 0
+    measures all of them as one range, swept from depth 2, whose root
+    extension it counts, and no key is read a second time."""
     rows = grouped(5, {0x42: 50})
-    assert cuts_of(rows, parts) is None
-    caller, serial = os.getpid(), []
-    streamed = split.streamed_shape
-
-    def recorded(read, count):
-        serial.append(os.getpid())
-        return streamed(read, count)
-
-    monkeypatch.setattr(split, "streamed_shape", recorded)
-    assert_split_matches(rows, parts)
-    assert serial == [caller]
+    assert cuts_of(rows, parts) == ([0, 50], [-1, -1])
+    read, hits, _ = counted_reader(rows)
+    assert_split_matches(rows, parts, read)
+    assert (hits == 1).all()
 
 
 def with_keys(rows: np.ndarray, extra: list[bytes]) -> np.ndarray:
@@ -105,17 +117,42 @@ def with_keys(rows: np.ndarray, extra: list[bytes]) -> np.ndarray:
     return np.concatenate([rows, keys])
 
 
-def test_tied_prefixes_next_to_a_cut_fall_back():
-    """A group over one 8-byte prefix as the last keys before the cut (and
-    the first after it): the tie pass reads every key, so the keys are
-    measured by the serial kernel."""
+def tied_next_to_a_cut(before: int, after: int) -> np.ndarray:
+    """Keys with first bytes 0x10 and 0x20, 20 each, then ``before`` keys
+    over one 8-byte prefix that sort last before the cut between them and
+    ``after`` over one that sorts first after it."""
     rng = np.random.default_rng(6)
-    before = b"\x10" + b"\xff" * 7
-    after = b"\x20" + b"\x00" * 7
-    rows = with_keys(grouped(6, {0x10: 20, 0x20: 20}),
-                     [before + rng.bytes(12) for _ in range(3)]
-                     + [after + rng.bytes(12) for _ in range(3)])
+    return with_keys(grouped(6, {0x10: 20, 0x20: 20}),
+                     [b"\x10" + b"\xff" * 7 + rng.bytes(12) for _ in range(before)]
+                     + [b"\x20" + b"\x00" * 7 + rng.bytes(12) for _ in range(after)])
+
+
+def test_tied_prefixes_on_both_sides_of_a_cut():
+    """A tied group as the last keys before the cut and one as the first
+    after it: each part resolves its own, with the true LCPs at the cut."""
+    rows = tied_next_to_a_cut(3, 3)
     assert cuts_of(rows, 2)[0] == [0, 23, 46]
+    assert_split_matches(rows, 2)
+
+
+def test_tied_prefixes_in_a_forked_part_are_resolved_there():
+    """The one tied group sorts into part 1's range: that forked part reads
+    every key again for it, and this process reads only the keys it fills."""
+    rows = tied_next_to_a_cut(0, 6)
+    assert cuts_of(rows, 2)[0] == [0, 20, 46]
+    read, hits, here = counted_reader(rows)
+    assert_split_matches(rows, 2, read)
+    assert (hits == 2).all()
+    assert here == [(0, 23)]
+
+
+def test_duplicate_keys_ahead_of_a_change_in_shallow_weight():
+    """Three copies of one key in part 0's range, ahead of the first key of
+    0x20, where the nodes above fall from a branch at 1 and the root (2) to
+    the root alone (1): the change moves back past the two copies dropped."""
+    rows = grouped(8, dict.fromkeys([0x10, 0x1F, 0x20, 0x30, 0x41, 0x48], 20))
+    rows = with_keys(rows, [b"\x10" + bytes(range(1, 20))] * 3)
+    assert cuts_of(rows, 2)[0] == [0, 63, 123]
     assert_split_matches(rows, 2)
 
 
