@@ -13,11 +13,13 @@ addresses as a ``(count, 20)`` uint8 array in one of the two ``MODES``:
   with the address taken as the last 20 bytes of the Keccak-256 hash of
   the 64-byte uncompressed public-key coordinates (X || Y, no 0x04
   prefix byte). Keys are derived together, in batches of up to 4,096:
-  fixed-base windowed scalar multiplication in affine coordinates, one
-  shared inversion per window (``pathlab.secp256k1``), then Keccak-256
-  over numpy lanes (``pathlab.keccak``). About 0.11 ms per key
-  (``tools/bench_layers.py crypto``), against microseconds for
-  ``uniform``, and statistically indistinguishable from it.
+  fixed-base scalar multiplication with signed 10-bit windows over a
+  shipped table, about 25 affine additions a key, one shared inversion
+  per window (``pathlab.secp256k1``), then Keccak-256 over numpy lanes
+  (``pathlab.keccak``). About 0.1 ms per key, plus about 0.02 s to load
+  the table once per process (``tools/bench_layers.py crypto``), against
+  microseconds for ``uniform``, and statistically indistinguishable
+  from it.
 
 In both modes ``start`` picks keys ``[start, start + count)`` of the
 seed's stream, so a large key set can be read a chunk at a time and read
@@ -39,9 +41,9 @@ from .secp256k1 import ORDER as SECP256K1_ORDER
 from .secp256k1 import public_keys
 
 # Keys derived per batch in crypto mode: large enough to amortise the one
-# modular inversion (``pow``) per window that a batch's point additions
-# share, small enough that the batch's Keccak lanes (25 x 8 bytes per key)
-# and points stay a few MB at any trial size.
+# modular inversion (``pow``) that a batch's point additions share in each
+# of its 26 windows, small enough that the batch's Keccak lanes (25 x 8
+# bytes per key) and points stay a few MB at any trial size.
 CRYPTO_BATCH = 4096
 
 # The generator modes; the experiment config and the command line take

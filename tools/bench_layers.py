@@ -34,7 +34,9 @@ is the process's peak RSS after all of them.
 
 ``crypto`` (1,000 and 4,096 keys, 5 calls each), into ``BENCH_crypto.json``:
 
-- ``window_table_s``: ``secp256k1.window_table`` built cold (cache cleared)
+- ``window_table_s``: ``secp256k1.window_table`` cold (cache cleared): the
+  load of the shipped table file, its digest check included; before the
+  table shipped, its build
 - ``draw_s``: ``addrgen._draw_scalars``, ``crypto``'s scalar draw, seed 1
 - ``public_keys_s``: ``secp256k1.public_keys`` on the drawn scalars
 - ``keccak256_rows_s``: ``keccak.keccak256_rows`` on the public keys
@@ -251,8 +253,13 @@ BENCHES = {
         "repeats": 5,
         "description": (
             "tools/bench_layers.py crypto: per batch size, labels alternated, a fresh "
-            "process times the cold window table, the scalar draw, public_keys, "
-            "keccak256_rows and generate (medians of `repeats` calls), and ru_maxrss"
+            "process times the cold window table (its load, or its build before the "
+            "table shipped), the scalar draw, public_keys, keccak256_rows and generate "
+            "(medians of `repeats` calls), and ru_maxrss; `experiment` (earlier runs "
+            "only; the pool bench measures it now): one run_experiment call on the "
+            "crypto-jobs2 config per fresh process, `repeats` times serial (CPU count "
+            "forced to 1) and pooled, median run_s and the largest parent and children "
+            "ru_maxrss"
         ),
     },
     "pool": {
