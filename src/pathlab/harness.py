@@ -1,15 +1,15 @@
 """Experiment runner: generate addresses, measure tries, aggregate metrics.
 
 Each trial's keys are measured by the sorted-LCP kernel
-:func:`pathlab.trie.streamed_shape`, which gives the depths, node counts
+:func:`pathlab.kernel.streamed_shape`, which gives the depths, node counts
 and level census the pointer :class:`pathlab.trie.Trie` would, without
-building it, as the :class:`pathlab.trie.TrieShape` that is the trial's
+building it, as the :class:`pathlab.kernel.TrieShape` that is the trial's
 result; the ``Trie`` stays as the paper's instrument and the oracle the
-kernel is tested against. The kernel reads a trial's keys a block at a
-time, in either mode, each block drawn (and for ``crypto`` derived) from
-its place in the trial's stream, and keeps only their 8-byte prefixes,
-so no trial holds its keys: its memory is about 8 bytes a key
-(``PREFIX_BYTES``). Sizes above ``LARGE_SIZE_THRESHOLD`` need
+kernel is tested against, and no run imports it. The kernel reads a
+trial's keys a block at a time, in either mode, each block drawn (and for
+``crypto`` derived) from its place in the trial's stream, and keeps only
+their 8-byte prefixes, so no trial holds its keys: its memory is about
+8 bytes a key (``PREFIX_BYTES``). Sizes above ``LARGE_SIZE_THRESHOLD`` need
 ``allow_large``, and ``MAX_SIZE`` (300,000,000 keys, about 2.3 GB) is
 the most one trial may have. A size whose trial needs more bytes than
 the machine has physical memory, or with too few pooled keys for two
@@ -39,7 +39,7 @@ counted).
 CPUs the shares leave idle, when there are fewer pairs than CPUs (or
 memory caps the workers), measure each trial of ``SPLIT_FROM_KEYS`` keys
 or more, in either mode, in parts: ``CPUs // workers`` of them, through
-the same runner (:func:`pathlab.split.split_shape`, every trial's one
+the same runner (:func:`pathlab.kernel.split_shape`, every trial's one
 measure). The parts share one buffer of 8 bytes a key, so a trial counts
 once against physical memory however many parts measure it.
 
@@ -62,8 +62,7 @@ from functools import partial
 import numpy as np
 
 from . import addrgen, model, stats
-from .split import split_shape
-from .trie import EMPTY_SHAPE, PREFIX_BYTES, TrieShape
+from .kernel import EMPTY_SHAPE, PREFIX_BYTES, TrieShape, split_shape
 
 SCHEMA_VERSION = 1
 

@@ -1,6 +1,6 @@
 """``tools/bench_layers.py`` still runs against this checkout.
 
-The tool times the kernel's steps through private names (``trie._fill_prefixes``,
+The tool times the kernel's steps through private names (``kernel._fill_prefixes``,
 ``_prefix_lcps``, ``_sweep``) and the scalar draw through ``addrgen._draw_scalars``,
 and sets ``harness._cpu_count``; a rename of any of them would break it without
 an error anywhere else. Each measurement here is one small call in this process.
@@ -47,6 +47,29 @@ def test_kernel_bench_validates_in_a_fresh_process():
     assert row["validate_run_s"] < row["validate_s"]
 
 
+def test_each_fresh_process_gets_a_bytecode_cache_of_its_own(monkeypatch):
+    """The ``--one`` runs and the ``validate`` child each get
+    ``PYTHONPYCACHEPREFIX``, a new empty directory removed after, so no
+    ``__pycache__`` in a checkout is read or written."""
+    tool = load_tool()
+    envs = []
+
+    def run(args, env, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        assert cache.is_dir() and not any(cache.iterdir())
+        envs.append(env)
+        return subprocess.CompletedProcess(args, 0, '{"x": 1}' if "--one" in args else "0.5")
+
+    monkeypatch.setattr(subprocess, "run", run)
+    src = str(ROOT / "src")
+    assert tool.fresh("kernel", "a", src, "10") == {"x": 1}
+    assert tool.measure_validate(10, src)["validate_run_s"] == 0.5
+    caches = [Path(env["PYTHONPYCACHEPREFIX"]) for env in envs]
+    assert len(set(caches)) == 2
+    assert not any(cache.exists() for cache in caches)
+    assert envs[1]["PYTHONPATH"] == src
+
+
 def test_crypto_bench_gives_every_step():
     from pathlab import addrgen
 
@@ -88,11 +111,11 @@ def test_pool_bench_compares_the_alternated_pairs():
 
 
 def test_kernel_bench_leaves_the_steps_as_they_were():
-    from pathlab import trie
+    from pathlab import kernel
 
-    steps = trie._fill_prefixes, trie._prefix_lcps, trie._sweep
+    steps = kernel._fill_prefixes, kernel._prefix_lcps, kernel._sweep
     row = load_tool().measure_kernel(2_000, 2)
-    assert (trie._fill_prefixes, trie._prefix_lcps, trie._sweep) == steps
+    assert (kernel._fill_prefixes, kernel._prefix_lcps, kernel._sweep) == steps
     # timed within the same two calls, so their medians, the means of two,
     # add up to no more than the whole call's (each is rounded to 0.1 ms)
     assert row["fill_s"] + row["lcp_s"] + row["sweep_s"] <= row["streamed_shape_s"] + 2e-4

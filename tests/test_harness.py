@@ -1,12 +1,15 @@
+import errno
 import hashlib
+import itertools
 import json
 import os
 import re
 import time
+from functools import partial
 
 import pytest
 
-from pathlab import harness, trie
+from pathlab import addrgen, cli, harness, kernel
 from pathlab.harness import (
     ConfigError,
     ExperimentConfig,
@@ -18,7 +21,7 @@ from pathlab.harness import (
     trial_seed,
 )
 from pathlab.model import ModelParams, distribution
-from pathlab.trie import sorted_shape
+from pathlab.kernel import sorted_shape
 
 
 def small_config(**overrides):
@@ -175,7 +178,7 @@ def test_crypto_trial_derives_each_key_once(monkeypatch):
 def test_crypto_trial_reads_its_keys_a_block_at_a_time(monkeypatch):
     """With blocks of 256 keys a 1,000-key crypto trial is read in four
     ranges, each derived from its place in the trial's stream."""
-    monkeypatch.setattr(trie, "_BLOCK", 2**8)
+    monkeypatch.setattr(kernel, "_BLOCK", 2**8)
     cfg = ExperimentConfig(sizes=(1_000,), trials=1, master_seed=3, mode="crypto")
     keys = harness.addrgen.generate(1_000, trial_seed(3, 1_000, 0), "crypto")
     assert run_trial(1_000, 0, cfg) == sorted_shape(keys)
@@ -472,6 +475,54 @@ def test_caller_error_kills_and_reaps_its_workers(monkeypatch):
     with pytest.raises(ValueError, match="the caller's share failed"):
         run_experiment(ExperimentConfig(sizes=(100,), trials=4))
     assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+def refuse_second_fork(monkeypatch):
+    """``os.fork`` raising EAGAIN, as on a system out of processes, on its
+    second call in this process, and forking as usual on the others."""
+    calls, fork = itertools.count(1), os.fork
+
+    def fork_or_refuse():
+        if next(calls) == 2:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(harness.os, "fork", fork_or_refuse)
+
+
+def open_fds():
+    """This process's open file descriptors, or None where ``/proc/self/fd``
+    is missing and they cannot be counted."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.mark.parametrize("way", ["pool", "parts"])
+def test_a_refused_fork_reaches_the_caller_and_leaves_nothing_behind(monkeypatch, way):
+    """The second fork refused, for a pooled run's third share or a trial's
+    third part: the error is raised here, the child forked first is killed
+    and reaped, and every pipe is closed."""
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 3)
+    if way == "pool":
+        call = partial(run_experiment, ExperimentConfig(sizes=(100,), trials=3))
+    else:
+        rows = addrgen.generate(3_000, 1)
+        call = partial(kernel.split_shape, lambda lo, hi: rows[lo:hi], len(rows), 3,
+                       harness._fork_map)
+    before = open_fds()
+    refuse_second_fork(monkeypatch)
+    with pytest.raises(BlockingIOError) as raised:
+        call()
+    assert raised.value.errno == errno.EAGAIN
+    assert_no_child_left()
+    assert open_fds() == before
+
+
+def test_a_refused_fork_fails_validate_with_a_runtime_error(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 3)
+    refuse_second_fork(monkeypatch)
+    assert cli.main(["validate", "--sizes", "100", "--trials", "3"]) == 2
+    assert "runtime error" in capsys.readouterr().err
     assert_no_child_left()
 
 

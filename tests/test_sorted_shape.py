@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pathlab
-from pathlab import addrgen, trie
+from pathlab import addrgen, kernel
 from pathlab.keyspace import from_nibbles, to_nibbles
 from pathlab.stats import PathLengthHistogram
-from pathlab.trie import Trie, TrieShape, leading_zero_nibbles, sorted_shape, streamed_shape
+from pathlab.kernel import TrieShape, leading_zero_nibbles, sorted_shape, streamed_shape
+from pathlab.trie import Trie
 from test_acceptance import _random_key_batch
 
 
@@ -138,10 +139,12 @@ def test_run_trial_imports_nothing_beyond_key_generation():
     """Measuring a trial loads no module that ``pathlab.cli`` and the key
     generator have not: a lazily imported numpy submodule would cost every
     run set-up time and resident memory. ``pathlab.cli`` itself loads no
-    process-pool module; only a run that starts the pool pays for them."""
+    process-pool module; only a run that starts the pool pays for them. Nor
+    does it or a trial load the oracle, ``pathlab.trie``."""
     script = """
 import sys
 import pathlab.cli
+oracle = ["pathlab.trie" in sys.modules]
 print(" ".join(m for m in sys.modules
                if m.split(".")[0] in ("multiprocessing", "concurrent")) or "-")
 from pathlab import addrgen
@@ -152,6 +155,7 @@ before = set(sys.modules)
 run_trial(1_000, 0, ExperimentConfig(sizes=(1_000,), trials=1))
 run_trial(2, 0, ExperimentConfig(sizes=(20,), trials=1, mode="crypto"))
 print(" ".join(sorted(set(sys.modules) - before)))
+print(oracle + ["pathlab.trie" in sys.modules])
 """
     src = os.path.dirname(os.path.dirname(pathlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -161,9 +165,10 @@ print(" ".join(sorted(set(sys.modules) - before)))
         [sys.executable, "-c", script], env=env, capture_output=True, text=True,
         timeout=120, check=True,
     )
-    pool_modules, trial_modules = out.stdout.split("\n")[:2]
+    pool_modules, trial_modules, oracle = out.stdout.split("\n")[:3]
     assert pool_modules == "-"
     assert trial_modules.split() == []
+    assert oracle == "[False, False]"
 
 
 # -- the 8-byte prefix front end: ties, the 16-nibble boundary, byte order --
@@ -279,7 +284,7 @@ def uniform_reader(seed: int):
 def test_streamed_uniform_trial_peak_memory_per_key():
     """A streamed trial keeps 8-byte prefixes and 1-byte LCPs, not its
     20-byte keys: 14.6 bytes a key at 200,000 keys, where a block of
-    ``trie._BLOCK`` drawn keys (1.3 MB) is still a seventh of the peak."""
+    ``kernel._BLOCK`` drawn keys (1.3 MB) is still a seventh of the peak."""
     streamed_shape(uniform_reader(5), 1_000)  # numpy.random loads lazily
     n = 200_000
     tracemalloc.start()
@@ -312,7 +317,7 @@ def test_kernel_peak_memory_is_the_prefixes_plus_blocks(monkeypatch):
     byte a key at 200,000 keys, so the per-key term decides: 8 bytes a key
     plus 10.9 blocks here, 9 bytes a key plus 16.2 blocks with a separate
     LCP array."""
-    monkeypatch.setattr(trie, "_BLOCK", 1 << 14)
+    monkeypatch.setattr(kernel, "_BLOCK", 1 << 14)
     keys = np.random.default_rng(5).integers(0, 256, (200_000, 20), dtype=np.uint8)
     sorted_shape(keys[:1_000])
     tracemalloc.start()
@@ -321,7 +326,7 @@ def test_kernel_peak_memory_is_the_prefixes_plus_blocks(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * len(keys) + 16 * trie._BLOCK, (peak - 8 * len(keys)) / trie._BLOCK
+    assert peak <= 8 * len(keys) + 16 * kernel._BLOCK, (peak - 8 * len(keys)) / kernel._BLOCK
 
 
 def test_sweep_peak_memory_is_two_bytes_a_key_plus_blocks(monkeypatch):
@@ -330,16 +335,16 @@ def test_sweep_peak_memory_is_two_bytes_a_key_plus_blocks(monkeypatch):
     25.9 blocks of 2**14 entries at 200,000 keys (31.0 when each block's
     visited positions were concatenated to the last one and compressed
     twice)."""
-    monkeypatch.setattr(trie, "_BLOCK", 1 << 14)
+    monkeypatch.setattr(kernel, "_BLOCK", 1 << 14)
     keys = np.random.default_rng(5).integers(0, 256, (200_000, 20), dtype=np.uint8)
-    padded = trie._prefix_lcps(np.sort(trie._prefixes(keys)))[0]
+    padded = kernel._prefix_lcps(np.sort(kernel._prefixes(keys)))[0]
     tracemalloc.start()
     try:
-        trie._sweep(padded)
+        kernel._sweep(padded)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * len(keys) + 28 * trie._BLOCK, (peak - 2 * len(keys)) / trie._BLOCK
+    assert peak <= 2 * len(keys) + 28 * kernel._BLOCK, (peak - 2 * len(keys)) / kernel._BLOCK
 
 
 # -- LCP sequences that random keys never reach --
@@ -394,7 +399,7 @@ def test_kernel_matches_trie_on_constructed_lcp_sequences(lcps):
 def test_kernel_matches_trie_on_branches_carried_across_blocks(monkeypatch, lcps):
     """Blocks of 4 positions; position ``j`` holds the LCP of keys ``j - 1``
     and ``j``."""
-    monkeypatch.setattr(trie, "_BLOCK", 4)
+    monkeypatch.setattr(kernel, "_BLOCK", 4)
     assert_same_shape(keys_with_lcps(lcps))
 
 
@@ -414,8 +419,8 @@ def reader_of(rows: np.ndarray):
     return lambda lo, hi: rows[lo:hi]
 
 
-@pytest.mark.parametrize("size", [trie._BLOCK - 1, trie._BLOCK, trie._BLOCK + 1,
-                                  2 * trie._BLOCK + 1])
+@pytest.mark.parametrize("size", [kernel._BLOCK - 1, kernel._BLOCK, kernel._BLOCK + 1,
+                                  2 * kernel._BLOCK + 1])
 def test_streamed_trial_matches_the_whole_key_array(size):
     keys = addrgen.generate(size, 3)
     assert streamed_shape(uniform_reader(3), size) == sorted_shape(keys)
@@ -428,7 +433,7 @@ def test_streamed_trial_matches_trie_around_the_chunk_size(monkeypatch, base, bl
     enough for the oracle, read in one block or in blocks of 16 or 7 keys:
     the sizes end a key before, at or after a block edge."""
     size = 2 * base + 1 if offset == "2x+1" else base + offset
-    monkeypatch.setattr(trie, "_BLOCK", block)
+    monkeypatch.setattr(kernel, "_BLOCK", block)
     keys = addrgen.generate(size, size)
     got = streamed_shape(uniform_reader(size), size)
     assert got == sorted_shape(keys) == oracle_shape([bytes(k) for k in keys])
@@ -451,8 +456,8 @@ def test_tied_prefixes_split_across_two_chunks(monkeypatch):
     blocks finds every one of them."""
     keys, prefix = tied_group_among(np.random.default_rng(9), 30)
     rows = np.frombuffer(b"".join(keys), np.uint8).reshape(-1, 20)
-    monkeypatch.setattr(trie, "_BLOCK", len(rows) // 2)
-    first = rows[:trie._BLOCK]
+    monkeypatch.setattr(kernel, "_BLOCK", len(rows) // 2)
+    first = rows[:kernel._BLOCK]
     assert 0 < sum(bytes(k[:8]) == prefix for k in first) < 10  # the group's 10 keys
     assert streamed_shape(reader_of(rows), len(rows)) == oracle_shape(keys)
 
@@ -464,7 +469,7 @@ def test_blocks_are_read_again_only_for_ties(monkeypatch, tied):
     rng = np.random.default_rng(10)
     keys = tied_group_among(rng, 30)[0] if tied else [rng.bytes(20) for _ in range(40)]
     rows = np.frombuffer(b"".join(keys), np.uint8).reshape(-1, 20)
-    monkeypatch.setattr(trie, "_BLOCK", 16)
+    monkeypatch.setattr(kernel, "_BLOCK", 16)
     reads = []
 
     def read(lo, hi):
@@ -532,7 +537,7 @@ def test_kernel_matches_trie_across_chunks_and_blocks(lcps, block):
     blocks, read from keys in reverse order."""
     keys = keys_with_lcps(lcps)
     rows = np.frombuffer(b"".join(keys), np.uint8).reshape(-1, 20)[::-1]
-    with mock.patch.object(trie, "_BLOCK", block):
+    with mock.patch.object(kernel, "_BLOCK", block):
         assert streamed_shape(reader_of(rows), len(rows)) == oracle_shape(keys)
 
 
@@ -546,7 +551,7 @@ def random_batches(seed: int, count: int) -> list[list[bytes]]:
 
 def test_zero_key_shape_is_the_sum_identity():
     zero = sorted_shape(np.zeros((0, 20), np.uint8))
-    assert zero == trie.EMPTY_SHAPE == oracle_shape([])
+    assert zero == kernel.EMPTY_SHAPE == oracle_shape([])
     assert zero + zero == zero
     for keys in random_batches(11, 20):
         shape = kernel_shape(keys)
@@ -572,14 +577,14 @@ def test_sum_is_commutative_and_associative_on_random_batches():
 
 def test_summed_kernel_shapes_equal_summed_oracle_shapes():
     batches = random_batches(13, 12)
-    kernel = oracle = trie.EMPTY_SHAPE
+    kernel_sum = oracle_sum = kernel.EMPTY_SHAPE
     for keys in batches:
-        kernel += kernel_shape(keys)
-        oracle += oracle_shape(keys)
-    assert kernel == oracle
-    assert kernel.divergence_histogram.total == sum(len(set(keys)) for keys in batches)
-    assert sum(level["leaves"] for level in kernel.level_census.values()) == \
-        kernel.divergence_histogram.total
+        kernel_sum += kernel_shape(keys)
+        oracle_sum += oracle_shape(keys)
+    assert kernel_sum == oracle_sum
+    assert kernel_sum.divergence_histogram.total == sum(len(set(keys)) for keys in batches)
+    assert sum(level["leaves"] for level in kernel_sum.level_census.values()) == \
+        kernel_sum.divergence_histogram.total
 
 
 def test_kernel_reads_keys_of_any_memory_layout():

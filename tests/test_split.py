@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pathlab
-from pathlab import addrgen, harness, split, trie
+from pathlab import addrgen, harness, kernel
 from pathlab.harness import ExperimentConfig, run_trial
 from test_harness import assert_no_child_left
 from test_sorted_shape import diverging_at, oracle_shape, reader_of
@@ -23,9 +23,9 @@ from test_sorted_shape import diverging_at, oracle_shape, reader_of
 def assert_split_matches(rows: np.ndarray, parts: int, read=None):
     """The split of ``rows``, read by ``read`` (their slices by default),
     equals the serial kernel's and the oracle's shape."""
-    got = split.split_shape(read or reader_of(rows), len(rows), parts, harness._fork_map)
+    got = kernel.split_shape(read or reader_of(rows), len(rows), parts, harness._fork_map)
     assert_no_child_left()
-    assert got == trie.streamed_shape(reader_of(rows), len(rows))
+    assert got == kernel.streamed_shape(reader_of(rows), len(rows))
     assert got == oracle_shape([bytes(k) for k in rows])
     assert list(got.level_census) == sorted(got.level_census)
     assert list(got.divergence_histogram.counts) == sorted(got.divergence_histogram.counts)
@@ -42,7 +42,7 @@ def grouped(seed: int, counts: dict[int, int]) -> np.ndarray:
 
 def cuts_of(rows: np.ndarray, parts: int):
     """The plan's cuts, and the LCPs there."""
-    ranges = split._plan(np.sort(trie._prefixes(rows)), parts)[2]
+    ranges = kernel._plan(np.sort(kernel._prefixes(rows)), parts)[2]
     return ([r[0] for r in ranges] + [ranges[-1][1]],
             [r[2][0] for r in ranges] + [ranges[-1][2][1]])
 
@@ -74,7 +74,7 @@ def test_cuts_next_to_block_edges(monkeypatch, first, second):
     """Blocks of 16 entries; the one cut, at ``first``, falls a position
     before, at or after a block edge, with an LCP of 1 (``0x1f``, sharing
     the first nibble of ``0x10``) or 0 (``0x20``)."""
-    monkeypatch.setattr(trie, "_BLOCK", 16)
+    monkeypatch.setattr(kernel, "_BLOCK", 16)
     rows = grouped(first, {0x10: first, second: 48 - first})
     assert cuts_of(rows, 2) == ([0, first, 48], [-1, int(second == 0x1F), -1])
     assert_split_matches(rows, 2)
@@ -168,12 +168,12 @@ def test_duplicate_keys_on_both_sides_of_a_cut_count_once():
 @given(st.dictionaries(st.integers(0, 255), st.integers(1, 12), min_size=1, max_size=8),
        st.integers(2, 4), st.sampled_from([4, 16, 1 << 16]), st.integers(0, 2**32))
 def test_split_matches_on_grouped_keys(counts, parts, block, seed):
-    original = trie._BLOCK
-    trie._BLOCK = block  # forked parts read the module's value
+    original = kernel._BLOCK
+    kernel._BLOCK = block  # forked parts read the module's value
     try:
         assert_split_matches(grouped(seed, counts), parts)
     finally:
-        trie._BLOCK = original
+        kernel._BLOCK = original
 
 
 def test_crypto_trial_in_parts_matches_the_serial_trial(monkeypatch):

@@ -9,20 +9,22 @@ directory of any checkout with the steps below (this checkout's by
 default). Each item (a size of ``kernel`` or ``crypto``, a pair of ``pool``
 runs) is measured under every label, each in a fresh process, before the
 next; every other item reverses the order of the labels and of a pair's
-ways, so none always runs first. Each label's results go into the bench's
-file under ``runs[NAME]`` with the machine that measured them, keeping the
-other labels and, as ``--sizes`` replaces the bench's sizes, the label's
-rows at other sizes.
+ways, so none always runs first. Each fresh process gets
+``PYTHONPYCACHEPREFIX``, a new temporary directory, so that no label reads
+a bytecode cache left in its checkout or writes one there. Each label's
+results go into the bench's file under ``runs[NAME]`` with the machine that
+measured them, keeping the other labels and, as ``--sizes`` replaces the
+bench's sizes, the label's rows at other sizes.
 
 ``kernel`` (1e5, 1e6 and 1e7 keys, 3 calls each), into
 ``BENCH_sorted_shape.json``, on a ``uniform`` trial's keys (seed 1), read
 a block at a time from ``addrgen.generate`` as the harness reads them:
 
-- ``streamed_shape_s``: the whole ``trie.streamed_shape``, keys drawn included
+- ``streamed_shape_s``: the whole ``kernel.streamed_shape``, keys drawn included
 - ``fill_s``, ``lcp_s``, ``sweep_s``: in the same calls, its steps:
-  drawing the keys into the 8-byte prefix array (``trie._fill_prefixes``),
-  the adjacent LCPs (``trie._prefix_lcps``) and the lcp-interval sweep
-  (``trie._sweep``); ``sort_s``: the rest, the sort and any tie pass
+  drawing the keys into the 8-byte prefix array (``kernel._fill_prefixes``),
+  the adjacent LCPs (``kernel._prefix_lcps``) and the lcp-interval sweep
+  (``kernel._sweep``); ``sort_s``: the rest, the sort and any tie pass
 - ``kernel_peak_bytes_per_key``: its tracemalloc peak over the key count
 - ``validate_s``, ``validate_maxrss_mb``: a one-trial ``pathlab validate``
   of the size, run first in a child process, wall time and ``ru_maxrss``;
@@ -60,12 +62,14 @@ the ratio of the medians, and ``pooled_faster``, the pairs in which
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -112,16 +116,16 @@ def _finish_row(row: dict) -> dict:
 
 def measure_kernel(size: int, repeats: int) -> dict:
     """Time one size in this process; ``pathlab`` must be importable. The
-    steps are wrapped in ``trie`` for the timed calls and put back after."""
+    steps are wrapped in ``kernel`` for the timed calls and put back after."""
     import tracemalloc
 
-    from pathlab import addrgen, trie
+    from pathlab import addrgen, kernel
 
     def read(lo, hi):
         return addrgen.generate(hi - lo, 1, "uniform", lo)
 
     steps = {"fill_s": "_fill_prefixes", "lcp_s": "_prefix_lcps", "sweep_s": "_sweep"}
-    originals = {key: getattr(trie, name) for key, name in steps.items()}
+    originals = {key: getattr(kernel, name) for key, name in steps.items()}
     calls = []
 
     def timed(key):
@@ -134,25 +138,33 @@ def measure_kernel(size: int, repeats: int) -> dict:
 
     try:
         for key, name in steps.items():
-            setattr(trie, name, timed(key))
+            setattr(kernel, name, timed(key))
         for _ in range(repeats):
             calls.append({})
             start = time.perf_counter()
-            trie.streamed_shape(read, size)
+            kernel.streamed_shape(read, size)
             total = calls[-1]["streamed_shape_s"] = time.perf_counter() - start
             calls[-1]["sort_s"] = total - sum(calls[-1][key] for key in steps)
     finally:
         for key, name in steps.items():
-            setattr(trie, name, originals[key])
+            setattr(kernel, name, originals[key])
     row = {key: statistics.median(call[key] for call in calls) for key in calls[0]}
     tracemalloc.start()
     try:
-        trie.streamed_shape(read, size)
+        kernel.streamed_shape(read, size)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     row["kernel_peak_bytes_per_key"] = round(peak / size, 3)
     return _finish_row(row)
+
+
+@contextlib.contextmanager
+def _fresh_env(**env):
+    """This process's environment with ``env`` and, for the bytecode cache,
+    a new temporary directory, removed on exit."""
+    with tempfile.TemporaryDirectory() as cache:
+        yield dict(os.environ, PYTHONPYCACHEPREFIX=cache, **env)
 
 
 # Times one ``cli.main`` call with the arguments given it and prints the time.
@@ -166,14 +178,16 @@ def measure_validate(size: int, src: str) -> dict:
     wall time, and that of its ``cli.main`` call alone, without the start."""
     import resource
 
-    start = time.perf_counter()
-    out = subprocess.run(
-        [sys.executable, "-c", _TIMED_CLI, "validate", "--sizes", str(size),
-         "--trials", "1", "--seed", "1", "--allow-large", "--format", "json",
-         "--out", os.devnull],
-        env=dict(os.environ, PYTHONPATH=src), check=True, stdout=subprocess.PIPE, text=True,
-    ).stdout
-    return {"validate_s": round(time.perf_counter() - start, 4),
+    with _fresh_env(PYTHONPATH=src) as env:
+        start = time.perf_counter()
+        out = subprocess.run(
+            [sys.executable, "-c", _TIMED_CLI, "validate", "--sizes", str(size),
+             "--trials", "1", "--seed", "1", "--allow-large", "--format", "json",
+             "--out", os.devnull],
+            env=env, check=True, stdout=subprocess.PIPE, text=True,
+        ).stdout
+        validate_s = time.perf_counter() - start
+    return {"validate_s": round(validate_s, 4),
             "validate_run_s": round(float(out), 4),
             "validate_maxrss_mb": round(
                 resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, 1)}
@@ -242,7 +256,7 @@ BENCHES = {
         "repeats": 3,
         "description": (
             "tools/bench_layers.py kernel: per size, labels alternated, a fresh process "
-            "times trie.streamed_shape and, in the same calls, its fill, lcp and sweep "
+            "times kernel.streamed_shape and, in the same calls, its fill, lcp and sweep "
             "steps, sort_s the rest (medians of `repeats` calls), its tracemalloc peak "
             "per key, ru_maxrss, and a one-trial `pathlab validate` (validate_*)"
         ),
@@ -292,9 +306,10 @@ def measure(bench: str, item: str, src: str) -> dict:
 
 def fresh(bench: str, name: str, src: str, item: str) -> dict:
     """:func:`measure` in a fresh process of this tool."""
-    out = subprocess.run(
-        [sys.executable, __file__, bench, "--label", f"{name}={src}", "--one", item],
-        stdout=subprocess.PIPE, text=True, check=True).stdout
+    with _fresh_env() as env:
+        out = subprocess.run(
+            [sys.executable, __file__, bench, "--label", f"{name}={src}", "--one", item],
+            env=env, stdout=subprocess.PIPE, text=True, check=True).stdout
     return json.loads(out.splitlines()[-1])
 
 
