@@ -19,6 +19,7 @@ from __future__ import annotations
 import mmap
 import os
 import pickle
+from bisect import bisect_left
 from collections.abc import Callable
 from functools import partial
 from itertools import zip_longest
@@ -93,21 +94,26 @@ def streamed_shape(read: Callable[[int, int], np.ndarray], count: int) -> TrieSh
     ``d`` at a time. An LCP below ``d`` is a boundary, and the keys between
     two boundaries share ``d`` nibbles; a run of them that holds a
     separator, an LCP equal to ``d``, is a branch at ``d``. Each depth
-    visits only the boundaries and separators of runs of two or more keys,
-    a block of positions at a time. A branch opens where the visited
-    positions turn from a boundary to a separator and closes where they
-    turn back, so one pass over each block's turns pairs every open with
-    its close; between blocks only the last visited position and at most
-    one open branch's start are carried. A branch's parent sits at the
-    larger of its two boundary LCPs; when that is below ``d - 1``, an
-    extension starts one nibble under the parent and leads to the branch.
+    visits only the boundaries and separators of runs of two or more keys.
+    A branch opens where the visited positions turn from a boundary to a
+    separator and closes where they turn back, so one pass over the turns
+    pairs every open with its close. The positions where the first byte
+    changes, LCPs below 2, are boundaries at every depth from 2: depths 0
+    and 1 are read off them alone, and depths 2 and deeper a block at a
+    time between two of them, nothing carried from one block to the next.
+    A branch's parent sits at the larger of its two boundary LCPs; when
+    that is below ``d - 1``, an extension starts one nibble under the
+    parent and leads to the branch.
 
     Memory: 8 bytes a key, the prefixes, while they are filled, sorted and
     their LCPs taken (the LCPs are written over the prefixes' buffer, which
-    then shrinks to them), then 3 bytes a key for the sweep, plus blocks of
-    ``_BLOCK`` entries: one block of keys while the prefixes are filled,
-    and temporaries of a few blocks in each step. Duplicate keys count
-    once, as :meth:`pathlab.trie.Trie.insert` overwrites them.
+    then shrinks to them), then 2 bytes a key for the sweep, plus blocks:
+    one block of ``_BLOCK`` keys while the prefixes are filled, and
+    temporaries of a few blocks in each step. A block of the sweep is
+    ``_BLOCK`` positions, or one first byte's keys where those are more:
+    about n / 256 for random keys, all of them for keys that share one
+    first byte, which neither key mode draws. Duplicate keys count once,
+    as :meth:`pathlab.trie.Trie.insert` overwrites them.
 
     The harness measures a trial of 1,000,000 keys or more in parts where
     CPUs would idle (:func:`split_shape`): the fill runs in parts and the
@@ -122,28 +128,26 @@ def streamed_shape(read: Callable[[int, int], np.ndarray], count: int) -> TrieSh
 
 
 def _range_shape(read: Callable[[int, int], np.ndarray], count: int, ordered: np.ndarray,
-                 ends: tuple[int, int] = (-1, -1), first: int = 0,
-                 above: np.ndarray | None = None) -> TrieShape:
+                 ends: tuple[int, int] = (-1, -1), steps: tuple | None = None) -> TrieShape:
     """The shape of ``ordered``, consumed, a range of the sorted prefixes of
     the ``count`` keys that ``read`` gives, or all of them: the one measure
     of sorted prefixes, for a whole trial and for each part of a split one.
     Its LCPs, with ``ends`` at its ends, its ties resolved on the full keys,
-    and the sweep from depth ``first``, with ``above[v]`` nodes at shallower
-    depths above each key whose first nibble is ``v``, or none.
+    and the sweep; ``steps``, ``(positions, weights)`` in the range, gives
+    the nodes at depths 0 and 1 above its keys as :func:`_plan` counts
+    them, or is None for the sweep to read them.
     """
     if not len(ordered):
         return EMPTY_SHAPE
-    if above is not None:
-        # where each first nibble's keys begin, read before the LCPs overwrite them
-        starts = np.searchsorted(ordered, np.arange(16, dtype=np.uint64) << np.uint64(60))
     padded, tied = _prefix_lcps(ordered, ends)
     padded, dropped = _resolve_ties(read, count, padded, tied) if len(tied) else (padded, [])
-    steps = None
-    if above is not None:
-        steps = np.zeros(len(padded), np.int8)
-        # a nibble's first key, never dropped, moves back past those dropped before it
-        np.add.at(steps, starts - np.searchsorted(dropped, starts), np.diff(above, prepend=0))
-    return _sweep(padded, first, steps)
+    nodes_above = None
+    if steps is not None:
+        at, weights = steps
+        nodes_above = np.zeros(len(padded), np.int8)
+        # a first byte's first key, never dropped, moves back past those dropped before it
+        nodes_above[at - np.searchsorted(dropped, at)] = weights
+    return _sweep(padded, nodes_above)
 
 
 PREFIX_BYTES = 8
@@ -294,88 +298,78 @@ def _histogram(counts: list[int]) -> PathLengthHistogram:
     return PathLengthHistogram({k: c for k, c in enumerate(counts) if c})
 
 
-def _branch_ranges(padded: np.ndarray, reach: np.ndarray, d: int):
-    """Yield the key ranges ``[start, stop)`` of the branches at depth
-    ``d``, a block of positions at a time: those that close in the block.
-
-    Only the positions whose LCP is at most ``d`` and which sit at or next
-    to an LCP of at least ``d`` are visited: the boundaries (LCP < d) of
-    runs of two or more keys and the separators (LCP == d) inside them. A
-    boundary followed by a separator opens a branch; a separator followed
-    by a boundary closes it. So the branch edges are where the visited
-    positions turn from boundaries to separators or back, found by one
-    ``flatnonzero`` a block, and they alternate: opens and closes are every
-    other edge, starting with an open when the block's first visited
-    position is a boundary. Only two things are carried from block to
-    block: the last position visited, whose edge with the next block's
-    first one is checked apart, and the start of a branch still open at a
-    block's end. A block that visits nothing carries them on unchanged.
+def _levels(padded: np.ndarray, here: np.ndarray, d: int, branches: list[int],
+            extensions: np.ndarray, nodes_above: np.ndarray) -> None:
+    """Count the branches at depth ``d`` over the visited positions
+    ``here`` of ``padded`` (see :func:`streamed_shape`), which begin and
+    end with a boundary and may hold any boundary: into ``branches[d]``,
+    the extensions above them into ``extensions``, and the nodes above
+    each key into ``nodes_above`` as steps, ``+w`` at a branch's first key
+    and ``-w`` past its last, ``w`` 2 if an extension leads to it, else 1.
     """
-    last = pending = None
-    last_sep = False
-    for lo, hi in _blocks(len(padded)):
-        here = np.flatnonzero((padded[lo:hi] <= d) & (reach[lo:hi] >= d))
-        if not len(here):
-            continue
-        here += lo
-        sep = padded[here] == d
-        edges = np.flatnonzero(sep[1:] != sep[:-1])
-        if sep[0]:
-            start = np.concatenate(([pending if last_sep else last], here[edges[1::2]]))
-            stop = here[edges[::2] + 1]
-        else:
-            start, stop = here[edges[::2]], here[edges[1::2] + 1]
-            if last_sep:
-                start = np.concatenate(([pending], start))
-                stop = np.concatenate((here[:1], stop))
-        last, last_sep = here[-1], sep[-1]
-        if last_sep:
-            pending, start = start[-1], start[:-1]
-        yield start, stop
+    sep = padded[here] == d
+    edges = np.flatnonzero(sep[1:] != sep[:-1])
+    start, stop = here[edges[::2]], here[edges[1::2] + 1]
+    parent = np.maximum(padded[start], padded[stop])
+    extended = parent < d - 1
+    branches[d] += len(start)
+    extensions += np.bincount(parent[extended] + 1, minlength=len(extensions))
+    weight = extended.astype(np.int8) + 1
+    nodes_above[start] += weight
+    nodes_above[stop] -= weight
 
 
-def _sweep(padded: np.ndarray, first: int = 0,
-           nodes_above: np.ndarray | None = None) -> TrieShape:
+def _census(*columns) -> dict[int, dict[str, int]]:
+    """The census of per-depth counts, a column per ``CENSUS_KINDS`` kind."""
+    return {d: dict(zip(CENSUS_KINDS, counts))
+            for d, counts in enumerate(zip_longest(*columns, fillvalue=0)) if any(counts)}
+
+
+def _sweep(padded: np.ndarray, nodes_above: np.ndarray | None = None) -> TrieShape:
     """The lcp-interval sweep: read the trie off adjacent distinct keys'
     LCPs, ``padded`` as :func:`_prefix_lcps` gives them (see
-    :func:`streamed_shape`), for the branches at depths ``first`` and
-    deeper. ``nodes_above``, consumed, gives the nodes above each key at
-    shallower depths as steps, each entry the change from the key before;
-    None when there are none."""
+    :func:`streamed_shape`). ``nodes_above``, consumed, gives the nodes at
+    depths 0 and 1 above each key as steps, each entry the change from the
+    key before; when it is None they are read here.
+
+    The positions whose LCP is below 2, where the first byte changes, are
+    boundaries at every depth from 2, so no branch there crosses them:
+    depths 0 and 1 are read off these positions alone, and depths 2 and
+    deeper a block at a time, between two of them. A block ends at the
+    first such position at or after a multiple of ``_BLOCK``, so it holds
+    ``_BLOCK`` positions, or one first byte's keys where those are more,
+    and the sweep's temporaries follow the largest block: all keys, when
+    they share one first byte.
+    """
     n = len(padded) - 1
     leaves = _counts(np.maximum(padded[lo:hi], padded[lo + 1:hi + 1]) + 1
                      for lo, hi in _blocks(n))
-    # The largest LCP at or next to each position: a position bounds a run
-    # of two or more keys at depth d only if this reaches d.
-    reach = padded.copy()
-    np.maximum(reach[1:], padded[:-1], out=reach[1:])
-    np.maximum(reach[:-1], padded[1:], out=reach[:-1])
-
+    lows = np.concatenate([np.flatnonzero(padded[lo:hi] < 2) + lo for lo, hi in _blocks(n + 1)])
     top = int(padded.max()) + 1
     branches = [0] * top
     extensions = np.zeros(top, np.int64)
-    # Nodes above each key's leaf, as +w at the first key of a branch's
-    # range and -w past its last: w = 1, or 2 when an extension leads to it.
     if nodes_above is None:
         nodes_above = np.zeros(n + 1, np.int8)
-    for d in range(first, top):
-        for start, stop in _branch_ranges(padded, reach, d):
-            parent = np.maximum(padded[start], padded[stop])
-            extended = parent < d - 1
-            branches[d] += len(start)
-            extensions += np.bincount(parent[extended] + 1, minlength=top)
-            weight = extended.astype(np.int8) + 1
-            nodes_above[start] += weight
-            nodes_above[stop] -= weight
+        shallow = padded[lows]
+        for d in range(min(2, top)):
+            _levels(padded, lows[shallow <= d], d, branches, extensions, nodes_above)
+    # blocks end at the first of them at or after each multiple of _BLOCK
+    at = lows.tolist()
+    cuts = list(dict.fromkeys([0, *(at[bisect_left(at, m)] for m in range(_BLOCK, n, _BLOCK)), n]))
+    for a, b in zip(cuts, cuts[1:]):
+        block = padded[a:b + 1]
+        # The largest LCP at or next to each position: a position bounds a
+        # run of two or more keys at depth d only if this reaches d.
+        reach = block.copy()
+        np.maximum(reach[1:], block[:-1], out=reach[1:])
+        np.maximum(reach[:-1], block[1:], out=reach[:-1])
+        for d in range(2, int(reach.max()) + 1):
+            here = np.flatnonzero((block <= d) & (reach >= d))
+            _levels(block, here, d, branches, extensions, nodes_above[a:b + 1])
     np.cumsum(nodes_above, dtype=np.int8, out=nodes_above)
     node_counts = _counts(nodes_above[lo:hi] + 1 for lo, hi in _blocks(n))
-
-    census = {}
     # the deepest leaves hang one nibble below the largest LCP, at ``top``
-    for d, counts in enumerate(zip_longest(branches, extensions.tolist(),
-                                           leaves[:top + 1], fillvalue=0)):
-        if any(counts):
-            census[d] = dict(zip(CENSUS_KINDS, counts))
+    census = _census(branches, extensions.tolist(), leaves[:top + 1])
     return TrieShape(_histogram(leaves), _histogram(node_counts), census)
 
 
@@ -396,15 +390,16 @@ def split_shape(read: Callable[[int, int], np.ndarray], count: int, parts: int,
     nibble depth 2 the lcp-interval tree is 256 independent sub-tries, so
     each part measures its range for depths 2 and deeper on its own, with
     the true LCPs at its cuts; the shapes add with ``+``. The nodes at
-    depths 0 and 1 are read here, once, off the positions whose LCP is
-    below 2, and each part adds their weights to its keys' nodes above
-    before counting them. A part resolves the ties in its range itself;
-    keys that all share their first byte are one range, one part's.
+    depths 0 and 1 are counted here, once, off the positions whose LCP is
+    below 2, by the sweep's reading of a level, and each part starts its
+    keys' nodes above from their changes at those positions in its range.
+    A part resolves the ties in its range itself; keys that all share
+    their first byte are one range, one part's.
 
     Memory: the mapping, 8 bytes a key, until the parts have their LCPs;
     each writes them over the front of its range, as the serial kernel
-    does, frees the rest of its range, then sweeps at 2 more bytes a key
-    of its range. So the processes together hold about what one serial
+    does, frees the rest of its range, then sweeps at 1 more byte a key of
+    its range. So the processes together hold about what one serial
     trial does, with the blocks of each part.
     """
     if parts < 2:
@@ -449,15 +444,15 @@ def _lead(read, buffer: mmap.mmap, bounds: list[int], filled, plans) -> TrieShap
         if waiting:
             return EMPTY_SHAPE
         prefixes.sort()
-        shallow, above, ranges = _plan(prefixes, len(bounds) - 1)
+        shallow, ranges = _plan(prefixes, len(bounds) - 1)
         del prefixes
         # a part past the plan's ranges gets none
         for (_, sender), part in zip(plans, ranges[1:]):
-            sender.write(pickle.dumps((part, above)))
+            sender.write(pickle.dumps(part))
     finally:
         for _, sender in plans:
             sender.close()
-    return shallow + _measure(read, buffer, bounds[-1], ranges[0], above)
+    return shallow + _measure(read, buffer, bounds[-1], ranges[0])
 
 
 def _follow(read, buffer: mmap.mmap, bounds: list[int], p: int, filled, plans) -> TrieShape:
@@ -480,51 +475,50 @@ def _follow(read, buffer: mmap.mmap, bounds: list[int], p: int, filled, plans) -
     if not message:
         return EMPTY_SHAPE
     # the range comes from the process that forked this one
-    return _measure(read, buffer, bounds[-1], *pickle.loads(message))
+    return _measure(read, buffer, bounds[-1], pickle.loads(message))
 
 
-def _measure(read, buffer: mmap.mmap, count: int, part, above) -> TrieShape:
+def _measure(read, buffer: mmap.mmap, count: int, part) -> TrieShape:
     """The shape of :func:`_plan`'s range ``part`` of the ``count`` keys' sorted ``buffer``."""
-    start, stop, ends = part
+    start, stop, ends, steps = part
     return _range_shape(read, count, np.frombuffer(buffer, np.uint64, stop - start,
-                                                   start * PREFIX_BYTES), ends, 2, above)
+                                                   start * PREFIX_BYTES), ends, steps)
 
 
-def _plan(ordered: np.ndarray, parts: int) -> tuple[TrieShape, np.ndarray | None, list]:
-    """How to split sorted prefixes ``ordered``: ``(shallow, above,
-    ranges)``. The ranges, ``(start, stop, ends)``, up to ``parts`` of
-    them, are cut at the LCPs below 2 nearest equal parts, with ``ends``
-    the LCPs at their cuts (-1 at either end of ``ordered``); one range
-    holds all keys where no LCP is below 2. ``shallow`` is the shape of the
-    trie's nodes at depths 0 and 1: a branch at 0 if two first nibbles
-    occur, and one at 1 over each first nibble followed by two second
-    ones, with an extension at 0 above it when there is no branch at 0.
-    ``above[v]`` of them are above each key whose first nibble is ``v``."""
+def _plan(ordered: np.ndarray, parts: int) -> tuple[TrieShape, list]:
+    """How to split sorted prefixes ``ordered``: ``(shallow, ranges)``.
+
+    The positions where the first byte changes, with LCPs of 0 or 1, and
+    the two ends, with -1, bound every branch at depth 2 or deeper.
+    ``shallow`` is the shape of the trie's nodes at depths 0 and 1, counted
+    off these positions alone by the sweep's :func:`_levels`. The ranges,
+    ``(start, stop, ends, steps)``, up to ``parts`` of them, are cut at the
+    positions nearest equal parts, an earlier one on a tie, with ``ends``
+    the LCPs at their cuts; one range holds all keys when they share their
+    first byte. ``steps`` holds the positions in the range where each
+    first byte starts and the change there in the nodes above its keys.
+    """
     n = len(ordered)
     starts = np.searchsorted(ordered, np.arange(1, 256, dtype=np.uint64) << np.uint64(56))
     # ascending, so each position's first entry is where it rises
     starts = starts[(np.diff(starts, prepend=0) > 0) & (starts < n)]
-    if not len(starts):
-        # one first byte: no nodes at depths 0 and 1, and the sweep from 2
-        # counts the extension at the root, over a parent LCP of -1
-        return EMPTY_SHAPE, None, [(0, n, (-1, -1))]
-    nibbles = ordered[starts] >> np.uint64(60)
-    lcps = (ordered[starts - 1] >> np.uint64(60) == nibbles).astype(np.int8)
-    targets = np.arange(1, parts) * n // parts
-    right = np.searchsorted(starts, targets).clip(max=len(starts) - 1)
-    left = (right - 1).clip(min=0)
-    nearer = np.abs(starts[left] - targets) <= np.abs(starts[right] - targets)
-    picks = np.where(nearer, left, right)
-    picks = picks[np.diff(picks, prepend=-1) > 0]
-    cuts = [0, *starts[picks].tolist(), n]
-    cut_lcps = [-1, *lcps[picks].tolist(), -1]
-
-    root = int((lcps == 0).any())
-    branched = np.zeros(16, bool)
-    branched[nibbles[lcps == 1]] = True
-    census = {0: dict(zip(CENSUS_KINDS, (root, 1 - root, 0)))}
-    if branched.any():
-        census[1] = dict(zip(CENSUS_KINDS, (int(branched.sum()), 0, 0)))
-    above = (root + branched * (2 - root)).astype(np.int8)
-    return (EMPTY_SHAPE._replace(level_census=census), above,
-            list(zip(cuts, cuts[1:], zip(cut_lcps, cut_lcps[1:]))))
+    at = np.concatenate(([0], starts, [n]))
+    lows = np.concatenate(([-1], ordered[starts - 1] >> np.uint64(60)
+                           == ordered[starts] >> np.uint64(60), [-1])).astype(np.int8)
+    branches, extensions, steps = [0, 0], np.zeros(2, np.int64), np.zeros(len(at), np.int8)
+    for d in (0, 1):
+        _levels(lows, np.flatnonzero(lows <= d), d, branches, extensions, steps)
+    level = np.cumsum(steps, dtype=np.int8)
+    # Cut at each start nearest a target, the earlier on a tie: a start
+    # takes the targets between its midpoints to its neighbours, the upper
+    # one included, and the first and last take every target beyond them
+    # (all doubled, to stay in integers).
+    bounds = at[:-1] + at[1:]
+    bounds[0], bounds[-1] = -1, 2 * n
+    targets = 2 * (np.arange(1, parts) * n // parts)
+    cuts = [0, *(np.flatnonzero(np.diff(np.searchsorted(targets, bounds, "right"))) + 1),
+            len(at) - 1]
+    return (EMPTY_SHAPE._replace(level_census=_census(branches, extensions.tolist(), [0, 0])),
+            [(int(at[i]), int(at[j]), (int(lows[i]), int(lows[j])),
+              (at[i:j] - at[i], np.diff(level[i:j], prepend=0)))
+             for i, j in zip(cuts, cuts[1:])])

@@ -329,22 +329,41 @@ def test_kernel_peak_memory_is_the_prefixes_plus_blocks(monkeypatch):
     assert peak <= 8 * len(keys) + 16 * kernel._BLOCK, (peak - 8 * len(keys)) / kernel._BLOCK
 
 
-def test_sweep_peak_memory_is_two_bytes_a_key_plus_blocks(monkeypatch):
-    """Beside its 1-byte LCPs, the sweep holds two per-key arrays of a byte
-    each (``reach`` and ``nodes_above``) and temporaries of a few blocks:
-    25.9 blocks of 2**14 entries at 200,000 keys (31.0 when each block's
-    visited positions were concatenated to the last one and compressed
-    twice)."""
-    monkeypatch.setattr(kernel, "_BLOCK", 1 << 14)
-    keys = np.random.default_rng(5).integers(0, 256, (200_000, 20), dtype=np.uint8)
+def sweep_peak(keys: np.ndarray) -> int:
+    """The tracemalloc peak of the sweep of ``keys``, beside its LCPs."""
     padded = kernel._prefix_lcps(np.sort(kernel._prefixes(keys)))[0]
     tracemalloc.start()
     try:
         kernel._sweep(padded)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * len(keys) + 28 * kernel._BLOCK, (peak - 2 * len(keys)) / kernel._BLOCK
+
+
+def test_sweep_peak_memory_is_one_byte_a_key_plus_blocks(monkeypatch):
+    """Beside its 1-byte LCPs, the sweep holds one per-key array of a byte
+    (``nodes_above``) and temporaries of a few blocks: 20.9 blocks of 2**14
+    entries at 200,000 keys (25.9 beside two bytes a key when ``reach`` was
+    taken over the whole array)."""
+    monkeypatch.setattr(kernel, "_BLOCK", 1 << 14)
+    keys = np.random.default_rng(5).integers(0, 256, (200_000, 20), dtype=np.uint8)
+    peak = sweep_peak(keys)
+    assert peak <= len(keys) + 30 * kernel._BLOCK, (peak - len(keys)) / kernel._BLOCK
+
+
+def test_sweep_temporaries_follow_the_largest_first_byte_group(monkeypatch):
+    """A block of the sweep ends where the first byte changes, so it holds
+    a whole first byte's keys where those are more than ``_BLOCK``: over 4
+    first bytes, about 50,000 keys each, the temporaries are 15.9 entries
+    of the largest group (48.7 blocks of 2**14), not of the whole array."""
+    monkeypatch.setattr(kernel, "_BLOCK", 1 << 14)
+    rng = np.random.default_rng(5)
+    keys = rng.integers(0, 256, (200_000, 20), dtype=np.uint8)
+    keys[:, 0] = 64 * rng.integers(0, 4, len(keys)) + 3
+    largest = np.bincount(keys[:, 0]).max()
+    assert largest > kernel._BLOCK
+    peak = sweep_peak(keys)
+    assert peak <= len(keys) + 18 * largest, (peak - len(keys)) / largest
 
 
 # -- LCP sequences that random keys never reach --
@@ -382,22 +401,38 @@ def test_kernel_matches_trie_on_constructed_lcp_sequences(lcps):
     assert_same_shape(keys_with_lcps(lcps))
 
 
+# branches at nibble depths 2 and 3 over the multiples of 4 from position 1 to 12
+ACROSS_BLOCKS = [3, 2, 3, 3, 2, 3, 3, 3, 2, 3, 3, 2]
+
+
+def low_at(position: int, lcp: int) -> list[int]:
+    """``ACROSS_BLOCKS`` with ``lcp``, 0 or 1, at ``position``."""
+    lcps = list(ACROSS_BLOCKS)
+    lcps[position - 1] = lcp
+    return lcps
+
+
 @pytest.mark.parametrize("lcps", [
-    # depth 5 opens at position 0 and closes at 15; blocks 4..7 and 8..11
-    # visit nothing at that depth and carry the open start
+    # all 16 keys share their first byte: one block of 17 positions, over
+    # which depth 5 branches from position 0 to 15
     [5] + [39] * 12 + [5, 2],
-    # depth 3: separators at 1..3, closed by the boundary at 4, the next
-    # block's first visited position
+    # the LCP of 1 at position 4, a multiple of 4, ends the first block and
+    # the depth-3 branch over positions 0 to 4
     [3, 3, 3, 1, 2],
-    # depth 3: the next block starts on a separator (4), so its first edge,
-    # between 4 and the boundary at 5, closes the branch carried into it
+    # the LCP of 1 at position 5 ends the first block, one past 4
     [3, 3, 3, 3, 1],
-    # depth 3: the boundary at 3 ends a block and the separator at 4 starts
-    # the next, so the branch opens on the edge between them
+    # the first LCP below 2 at or after 4 is at 6, so the block that holds
+    # the one at 3 ends there
     [5, 5, 1, 3, 3, 0],
+    # one first byte's 13 keys, longer than a block, in one block
+    ACROSS_BLOCKS,
+    # an LCP of 0 or 1 one before, at and one after the multiple 8
+    *(low_at(p, lcp) for p in (7, 8, 9) for lcp in (0, 1)),
 ])
 def test_kernel_matches_trie_on_branches_carried_across_blocks(monkeypatch, lcps):
-    """Blocks of 4 positions; position ``j`` holds the LCP of keys ``j - 1``
+    """Blocks of 4 positions, each carried on to the first LCP below 2 at
+    or after a multiple of 4, so that no branch at depth 2 or deeper
+    crosses a block's end; position ``j`` holds the LCP of keys ``j - 1``
     and ``j``."""
     monkeypatch.setattr(kernel, "_BLOCK", 4)
     assert_same_shape(keys_with_lcps(lcps))

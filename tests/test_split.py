@@ -42,7 +42,7 @@ def grouped(seed: int, counts: dict[int, int]) -> np.ndarray:
 
 def cuts_of(rows: np.ndarray, parts: int):
     """The plan's cuts, and the LCPs there."""
-    ranges = kernel._plan(np.sort(kernel._prefixes(rows)), parts)[2]
+    ranges = kernel._plan(np.sort(kernel._prefixes(rows)), parts)[1]
     return ([r[0] for r in ranges] + [ranges[-1][1]],
             [r[2][0] for r in ranges] + [ranges[-1][2][1]])
 
