@@ -120,34 +120,28 @@ def streamed_shape(read: Callable[[int, int], np.ndarray], count: int) -> TrieSh
     sort once, on one prefix buffer the parts share, so the memory is the
     same 8 bytes a key in all of them together. Each part measures a range
     of the sorted prefixes with the function this one ends in,
-    :func:`_range_shape`, its ties included.
+    :func:`_range_shape`, its ties and the nodes above its keys included.
     """
-    ordered = _fill_prefixes(read, count)
+    ordered = np.empty(count, np.uint64)
+    _fill_prefixes(read, ordered)
     ordered.sort()
     return _range_shape(read, count, ordered)
 
 
 def _range_shape(read: Callable[[int, int], np.ndarray], count: int, ordered: np.ndarray,
-                 ends: tuple[int, int] = (-1, -1), steps: tuple | None = None) -> TrieShape:
+                 ends: tuple[int, int] = (-1, -1)) -> TrieShape:
     """The shape of ``ordered``, consumed, a range of the sorted prefixes of
     the ``count`` keys that ``read`` gives, or all of them: the one measure
     of sorted prefixes, for a whole trial and for each part of a split one.
     Its LCPs, with ``ends`` at its ends, its ties resolved on the full keys,
-    and the sweep; ``steps``, ``(positions, weights)`` in the range, gives
-    the nodes at depths 0 and 1 above its keys as :func:`_plan` counts
-    them, or is None for the sweep to read them.
+    and the sweep.
     """
     if not len(ordered):
         return EMPTY_SHAPE
     padded, tied = _prefix_lcps(ordered, ends)
-    padded, dropped = _resolve_ties(read, count, padded, tied) if len(tied) else (padded, [])
-    nodes_above = None
-    if steps is not None:
-        at, weights = steps
-        nodes_above = np.zeros(len(padded), np.int8)
-        # a first byte's first key, never dropped, moves back past those dropped before it
-        nodes_above[at - np.searchsorted(dropped, at)] = weights
-    return _sweep(padded, nodes_above)
+    if len(tied):
+        padded = _resolve_ties(read, count, padded, tied)
+    return _sweep(padded)
 
 
 PREFIX_BYTES = 8
@@ -196,16 +190,13 @@ def _read_block(read: Callable[[int, int], np.ndarray], lo: int, hi: int) -> np.
     return np.ascontiguousarray(block)
 
 
-def _fill_prefixes(read: Callable[[int, int], np.ndarray], count: int,
-                   prefixes: np.ndarray | None = None, start: int = 0) -> np.ndarray:
-    """The prefixes of keys ``start`` .. ``start + count - 1``, read a block
-    at a time, into ``prefixes`` (``count`` entries) or a new array."""
-    if prefixes is None:
-        prefixes = np.empty(count, np.uint64)
-    for lo, hi in _blocks(count):
+def _fill_prefixes(read: Callable[[int, int], np.ndarray], prefixes: np.ndarray,
+                   start: int = 0) -> None:
+    """Fill ``prefixes`` with those of keys ``start`` onward, one entry a
+    key, read a block at a time."""
+    for lo, hi in _blocks(len(prefixes)):
         # no name holds the block, so it is freed before the next is read
         prefixes[lo:hi] = _prefixes(_read_block(read, start + lo, start + hi))
-    return prefixes
 
 
 def _prefix_lcps(ordered: np.ndarray, ends: tuple[int, int] = (-1, -1)
@@ -261,11 +252,10 @@ def _full_key_lcps(rows: np.ndarray) -> np.ndarray:
 
 
 def _resolve_ties(read: Callable[[int, int], np.ndarray], count: int, padded: np.ndarray,
-                  tied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                  tied: np.ndarray) -> np.ndarray:
     """``padded`` with its ties, the LCPs of ``PREFIX_NIBBLES``, taken on
     the full keys, and without the LCPs of equal keys, so that each counts
-    once; and the positions in ``padded`` of those dropped, ascending.
-    ``tied`` holds the prefixes of the ties.
+    once. ``tied`` holds the prefixes of the ties.
 
     Only the rows whose prefix is one of the tied ones are kept from all
     ``count`` keys, read again by :func:`_read_block`; every such row sorts
@@ -280,8 +270,7 @@ def _resolve_ties(read: Callable[[int, int], np.ndarray], count: int, padded: np
     rows = np.sort(np.concatenate(rows).view(f"S{ADDRESS_BYTES}").ravel())
     full = _full_key_lcps(rows.view(np.uint8).reshape(-1, ADDRESS_BYTES))
     padded[padded == PREFIX_NIBBLES] = full[full >= PREFIX_NIBBLES]
-    equal = padded == ADDRESS_NIBBLES
-    return padded[~equal], np.flatnonzero(equal)
+    return padded[padded != ADDRESS_NIBBLES]
 
 
 def _counts(blocks) -> list[int]:
@@ -325,12 +314,10 @@ def _census(*columns) -> dict[int, dict[str, int]]:
             for d, counts in enumerate(zip_longest(*columns, fillvalue=0)) if any(counts)}
 
 
-def _sweep(padded: np.ndarray, nodes_above: np.ndarray | None = None) -> TrieShape:
+def _sweep(padded: np.ndarray) -> TrieShape:
     """The lcp-interval sweep: read the trie off adjacent distinct keys'
     LCPs, ``padded`` as :func:`_prefix_lcps` gives them (see
-    :func:`streamed_shape`). ``nodes_above``, consumed, gives the nodes at
-    depths 0 and 1 above each key as steps, each entry the change from the
-    key before; when it is None they are read here.
+    :func:`streamed_shape`), of a whole key set or of a range of one.
 
     The positions whose LCP is below 2, where the first byte changes, are
     boundaries at every depth from 2, so no branch there crosses them:
@@ -340,20 +327,35 @@ def _sweep(padded: np.ndarray, nodes_above: np.ndarray | None = None) -> TrieSha
     ``_BLOCK`` positions, or one first byte's keys where those are more,
     and the sweep's temporaries follow the largest block: all keys, when
     they share one first byte.
+
+    Depths 0 and 1 are read with one more boundary, an LCP of -1, past
+    each end, so a branch there that crosses an end of a range closes at
+    it, and each key gets the nodes above it that it has in the whole trie:
+    a depth-1 branch bounded by these alone weighs 2, whether the root
+    above it is a branch or an extension. Such a branch is in the ranges on
+    both sides, and its kind depends on keys outside, so only a whole key
+    set, -1 at both ends, counts depths 0 and 1 in its census; :func:`_plan`
+    counts a split trial's.
     """
     n = len(padded) - 1
     leaves = _counts(np.maximum(padded[lo:hi], padded[lo + 1:hi + 1]) + 1
                      for lo, hi in _blocks(n))
+    # every end is below 2, so these begin at 0 and end at n
     lows = np.concatenate([np.flatnonzero(padded[lo:hi] < 2) + lo for lo, hi in _blocks(n + 1)])
     top = int(padded.max()) + 1
     branches = [0] * top
     extensions = np.zeros(top, np.int64)
-    if nodes_above is None:
-        nodes_above = np.zeros(n + 1, np.int8)
-        shallow = padded[lows]
-        for d in range(min(2, top)):
-            _levels(padded, lows[shallow <= d], d, branches, extensions, nodes_above)
-    # blocks end at the first of them at or after each multiple of _BLOCK
+    counted = ((branches, extensions) if padded[0] == padded[n] == -1
+               else ([0, 0], np.zeros(2, np.int64)))
+    shallow = np.concatenate(([-1], padded[lows], [-1]))
+    above = np.zeros(len(shallow), np.int8)
+    for d in range(min(2, top)):
+        _levels(shallow, np.flatnonzero(shallow <= d), d, *counted, above)
+    nodes_above = np.zeros(n + 1, np.int8)
+    # the boundary before the ends sits at 0; the one past them, at n, follows every key
+    nodes_above[lows] = above[1:-1]
+    nodes_above[0] += above[0]
+    # blocks end at the first of ``lows`` at or after each multiple of _BLOCK
     at = lows.tolist()
     cuts = list(dict.fromkeys([0, *(at[bisect_left(at, m)] for m in range(_BLOCK, n, _BLOCK)), n]))
     for a, b in zip(cuts, cuts[1:]):
@@ -379,8 +381,7 @@ def split_shape(read: Callable[[int, int], np.ndarray], count: int, parts: int,
     parts at once. ``run(tasks)`` calls each function of no argument in
     ``tasks``, the first in this process and each other in a process forked
     for it, all at the same time, and returns their results in order
-    (``pathlab.harness`` has the runner). One part is
-    :func:`streamed_shape`.
+    (``pathlab.harness`` has the runner).
 
     Each part reads about ``count / parts`` of the keys into one anonymous
     shared mapping of 8 bytes a key, made before the fork, and waits. Once
@@ -388,13 +389,13 @@ def split_shape(read: Callable[[int, int], np.ndarray], count: int, parts: int,
     sorted order into ranges at the adjacent LCPs below 2 nearest equal
     parts: where the first byte changes, found by ``searchsorted``. Below
     nibble depth 2 the lcp-interval tree is 256 independent sub-tries, so
-    each part measures its range for depths 2 and deeper on its own, with
-    the true LCPs at its cuts; the shapes add with ``+``. The nodes at
-    depths 0 and 1 are counted here, once, off the positions whose LCP is
-    below 2, by the sweep's reading of a level, and each part starts its
-    keys' nodes above from their changes at those positions in its range.
-    A part resolves the ties in its range itself; keys that all share
-    their first byte are one range, one part's.
+    each part measures its range on its own, with the true LCPs at its cuts,
+    as a whole trial is measured: its sweep reads every node above its
+    keys, and the shapes add with ``+``. The census of depths 0 and 1 is
+    counted here, once, off the positions whose LCP is below 2, by the
+    sweep's reading of a level. A part resolves the ties in its range
+    itself; keys that all share their first byte are one range, one
+    part's. No key, or one part, is :func:`streamed_shape`.
 
     Memory: the mapping, 8 bytes a key, until the parts have their LCPs;
     each writes them over the front of its range, as the serial kernel
@@ -402,7 +403,7 @@ def split_shape(read: Callable[[int, int], np.ndarray], count: int, parts: int,
     its range. So the processes together hold about what one serial
     trial does, with the blocks of each part.
     """
-    if parts < 2:
+    if parts < 2 or not count:
         return streamed_shape(read, count)
     buffer = mmap.mmap(-1, count * PREFIX_BYTES)
     bounds = [count * p // parts for p in range(parts + 1)]
@@ -437,7 +438,7 @@ def _lead(read, buffer: mmap.mmap, bounds: list[int], filled, plans) -> TrieShap
     try:
         writer.close()
         prefixes = np.frombuffer(buffer, np.uint64)
-        _fill_prefixes(read, bounds[1], prefixes)
+        _fill_prefixes(read, prefixes[:bounds[1]])
         waiting = len(plans)
         while waiting and (got := reader.read(waiting)):
             waiting -= len(got)
@@ -467,8 +468,7 @@ def _follow(read, buffer: mmap.mmap, bounds: list[int], p: int, filled, plans) -
         sender.close()
         if i != p - 1:
             receiver.close()
-    _fill_prefixes(read, bounds[p + 1] - bounds[p],
-                   np.frombuffer(buffer, np.uint64)[bounds[p]:bounds[p + 1]], bounds[p])
+    _fill_prefixes(read, np.frombuffer(buffer, np.uint64)[bounds[p]:bounds[p + 1]], bounds[p])
     writer.write(b"\0")
     writer.close()
     message = plans[p - 1][0].read()
@@ -480,9 +480,9 @@ def _follow(read, buffer: mmap.mmap, bounds: list[int], p: int, filled, plans) -
 
 def _measure(read, buffer: mmap.mmap, count: int, part) -> TrieShape:
     """The shape of :func:`_plan`'s range ``part`` of the ``count`` keys' sorted ``buffer``."""
-    start, stop, ends, steps = part
+    start, stop, ends = part
     return _range_shape(read, count, np.frombuffer(buffer, np.uint64, stop - start,
-                                                   start * PREFIX_BYTES), ends, steps)
+                                                   start * PREFIX_BYTES), ends)
 
 
 def _plan(ordered: np.ndarray, parts: int) -> tuple[TrieShape, list]:
@@ -491,12 +491,12 @@ def _plan(ordered: np.ndarray, parts: int) -> tuple[TrieShape, list]:
     The positions where the first byte changes, with LCPs of 0 or 1, and
     the two ends, with -1, bound every branch at depth 2 or deeper.
     ``shallow`` is the shape of the trie's nodes at depths 0 and 1, counted
-    off these positions alone by the sweep's :func:`_levels`. The ranges,
-    ``(start, stop, ends, steps)``, up to ``parts`` of them, are cut at the
-    positions nearest equal parts, an earlier one on a tie, with ``ends``
-    the LCPs at their cuts; one range holds all keys when they share their
-    first byte. ``steps`` holds the positions in the range where each
-    first byte starts and the change there in the nodes above its keys.
+    off these positions alone by the sweep's :func:`_levels`: a census no
+    range's sweep counts. The ranges, ``(start, stop, ends)``, up to ``parts`` of
+    them, are cut at the positions nearest equal parts, an earlier one on a
+    tie, with ``ends`` the LCPs at their cuts. One range holds all keys
+    when they share their first byte: a whole key set, with no nodes at
+    depths 0 and 1.
     """
     n = len(ordered)
     starts = np.searchsorted(ordered, np.arange(1, 256, dtype=np.uint64) << np.uint64(56))
@@ -505,10 +505,9 @@ def _plan(ordered: np.ndarray, parts: int) -> tuple[TrieShape, list]:
     at = np.concatenate(([0], starts, [n]))
     lows = np.concatenate(([-1], ordered[starts - 1] >> np.uint64(60)
                            == ordered[starts] >> np.uint64(60), [-1])).astype(np.int8)
-    branches, extensions, steps = [0, 0], np.zeros(2, np.int64), np.zeros(len(at), np.int8)
+    branches, extensions, above = [0, 0], np.zeros(2, np.int64), np.zeros(len(at), np.int8)
     for d in (0, 1):
-        _levels(lows, np.flatnonzero(lows <= d), d, branches, extensions, steps)
-    level = np.cumsum(steps, dtype=np.int8)
+        _levels(lows, np.flatnonzero(lows <= d), d, branches, extensions, above)
     # Cut at each start nearest a target, the earlier on a tie: a start
     # takes the targets between its midpoints to its neighbours, the upper
     # one included, and the first and last take every target beyond them
@@ -519,6 +518,5 @@ def _plan(ordered: np.ndarray, parts: int) -> tuple[TrieShape, list]:
     cuts = [0, *(np.flatnonzero(np.diff(np.searchsorted(targets, bounds, "right"))) + 1),
             len(at) - 1]
     return (EMPTY_SHAPE._replace(level_census=_census(branches, extensions.tolist(), [0, 0])),
-            [(int(at[i]), int(at[j]), (int(lows[i]), int(lows[j])),
-              (at[i:j] - at[i], np.diff(level[i:j], prepend=0)))
+            [(int(at[i]), int(at[j]), (int(lows[i]), int(lows[j])))
              for i, j in zip(cuts, cuts[1:])])

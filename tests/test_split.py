@@ -149,7 +149,8 @@ def test_tied_prefixes_in_a_forked_part_are_resolved_there():
 def test_duplicate_keys_ahead_of_a_change_in_shallow_weight():
     """Three copies of one key in part 0's range, ahead of the first key of
     0x20, where the nodes above fall from a branch at 1 and the root (2) to
-    the root alone (1): the change moves back past the two copies dropped."""
+    the root alone (1): the part reads that change off its own LCPs, after
+    the two copies are dropped."""
     rows = grouped(8, dict.fromkeys([0x10, 0x1F, 0x20, 0x30, 0x41, 0x48], 20))
     rows = with_keys(rows, [b"\x10" + bytes(range(1, 20))] * 3)
     assert cuts_of(rows, 2)[0] == [0, 63, 123]
@@ -164,14 +165,77 @@ def test_duplicate_keys_on_both_sides_of_a_cut_count_once():
     assert_split_matches(rows, 2)
 
 
+@pytest.mark.parametrize("counts", [
+    {0x10: 10, 0x14: 10, 0x18: 10},
+    {0x05: 10, 0x10: 10, 0x14: 10, 0x18: 10, 0x30: 10},
+], ids=["one-first-nibble", "several-first-nibbles"])
+def test_a_depth_1_branch_across_both_cuts_of_a_part(counts):
+    """The part that holds the keys of 0x14 alone has an LCP of 1 at both
+    of its cuts: the branch at depth 1 above them crosses both, and the
+    part counts it, with the root above it, as two nodes above each key,
+    whether the root is an extension (one first nibble) or a branch."""
+    rows = grouped(9, counts)
+    ends = cuts_of(rows, len(counts))[1]
+    assert [1, 1] in [ends[i:i + 2] for i in range(len(ends) - 1)]
+    assert_split_matches(rows, len(counts))
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_no_keys_in_parts_is_the_empty_shape(parts):
+    assert_split_matches(np.empty((0, 20), np.uint8), parts)
+
+
+@st.composite
+def key_sets(draw) -> np.ndarray:
+    """Random keys over up to 8 first bytes, drawn from all 16 first nibbles
+    or clustered in 1-3 of them, with copies of some keys' first 8 bytes
+    (ties) or of whole keys (duplicates), shuffled."""
+    nibbles = draw(st.just(range(16))
+                   | st.lists(st.integers(0, 15), min_size=1, max_size=3, unique=True))
+    first = st.builds(lambda high, low: 16 * high + low, st.sampled_from(nibbles),
+                      st.integers(0, 15))
+    counts = draw(st.dictionaries(first, st.integers(1, 12), min_size=1, max_size=8))
+    seed = draw(st.integers(0, 2**32))
+    rows = grouped(seed, counts)
+    rng = np.random.default_rng(seed)
+    copies = []
+    for i, tie in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), st.booleans()),
+                                max_size=6)):
+        copies.append(rows[i].copy())
+        if tie:
+            copies[-1][8:] = rng.integers(0, 256, 12, dtype=np.uint8)
+    rows = np.concatenate([rows, np.array(copies, np.uint8).reshape(-1, 20)])
+    rng.shuffle(rows)
+    return rows
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.dictionaries(st.integers(0, 255), st.integers(1, 12), min_size=1, max_size=8),
-       st.integers(2, 4), st.sampled_from([4, 16, 1 << 16]), st.integers(0, 2**32))
-def test_split_matches_on_grouped_keys(counts, parts, block, seed):
+@given(key_sets(), st.integers(2, 6), st.sampled_from([4, 16, 1 << 16]))
+def test_split_matches_on_grouped_keys(rows, parts, block):
     original = kernel._BLOCK
     kernel._BLOCK = block  # forked parts read the module's value
     try:
-        assert_split_matches(grouped(seed, counts), parts)
+        assert_split_matches(rows, parts)
+    finally:
+        kernel._BLOCK = original
+
+
+@settings(max_examples=300, deadline=None)
+@given(key_sets(), st.integers(2, 6), st.sampled_from([4, 16, 1 << 16]))
+def test_plan_ranges_measured_in_process_match_serial_and_oracle(rows, parts, block):
+    """The split without its processes: each of ``_plan``'s ranges measured
+    on a copy of the sorted prefixes by the call that measures a whole
+    trial, plus the plan's census of depths 0 and 1."""
+    original = kernel._BLOCK
+    kernel._BLOCK = block
+    try:
+        ordered = np.sort(kernel._prefixes(rows))
+        shallow, ranges = kernel._plan(ordered, parts)
+        read = reader_of(rows)
+        got = sum((kernel._range_shape(read, len(rows), ordered[start:stop].copy(), ends)
+                   for start, stop, ends in ranges), shallow)
+        assert got == kernel.streamed_shape(read, len(rows))
+        assert got == oracle_shape([bytes(k) for k in rows])
     finally:
         kernel._BLOCK = original
 

@@ -85,7 +85,7 @@ POOL_CONFIGS = {
     "uniform-1e6x2": {"sizes": (1_000_000,), "trials": 2, "master_seed": 1,
                       "mode": "uniform", "allow_large": True},
     # one pair each: measured in parts where CPUs are idle, sizes on either
-    # side of the rule (LARGE_SIZE_THRESHOLD, 100,000 keys)
+    # side of the rule (harness.SPLIT_FROM_KEYS, 1,000,000 keys)
     "uniform-2e5x1": {"sizes": (200_000,), "trials": 1, "master_seed": 1,
                       "mode": "uniform", "allow_large": True},
     "uniform-1e6x1": {"sizes": (1_000_000,), "trials": 1, "master_seed": 1,
