@@ -8,7 +8,8 @@ reads the trie off their lcp-interval tree (Abouelhoda, Kurtz & Ohlebusch,
 J. Discrete Algorithms 2004), turning to full 20-byte keys only for the
 rare groups whose prefixes tie. :func:`sorted_shape` is its call on one key
 array, and :func:`split_shape` its run in parts, a range of the sorted
-prefixes each. The census is in ``Trie.level_census``'s format: nibble
+prefixes each, on one shared mapping that holds the prefixes and, in a row
+after them, each part's range. The census is in ``Trie.level_census``'s format: nibble
 depth -> ``{"branches": …, "extensions": …, "leaves": …}``
 (``CENSUS_KINDS``), ascending. Shapes of separately measured key sets pool
 by ``+``, the one merge of a census.
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import mmap
 import os
-import pickle
 from bisect import bisect_left
 from collections.abc import Callable
 from functools import partial
@@ -118,9 +118,11 @@ def streamed_shape(read: Callable[[int, int], np.ndarray], count: int) -> TrieSh
     The harness measures a trial of 1,000,000 keys or more in parts where
     CPUs would idle (:func:`split_shape`): the fill runs in parts and the
     sort once, on one prefix buffer the parts share, so the memory is the
-    same 8 bytes a key in all of them together. Each part measures a range
-    of the sorted prefixes with the function this one ends in,
-    :func:`_range_shape`, its ties and the nodes above its keys included.
+    same 8 bytes a key in all of them together. The caller writes each
+    part's range into a row after the prefixes, and two pipes carry no data,
+    only wake the parts. Each part measures its range of the sorted prefixes
+    with the function this one ends in, :func:`_range_shape`, its ties and
+    the nodes above its keys included.
     """
     ordered = np.empty(count, np.uint64)
     _fill_prefixes(read, ordered)
@@ -383,19 +385,26 @@ def split_shape(read: Callable[[int, int], np.ndarray], count: int, parts: int,
     for it, all at the same time, and returns their results in order
     (``pathlab.harness`` has the runner).
 
-    Each part reads about ``count / parts`` of the keys into one anonymous
-    shared mapping of 8 bytes a key, made before the fork, and waits. Once
-    every part has, this process sorts the prefixes in place and cuts the
-    sorted order into ranges at the adjacent LCPs below 2 nearest equal
-    parts: where the first byte changes, found by ``searchsorted``. Below
-    nibble depth 2 the lcp-interval tree is 256 independent sub-tries, so
-    each part measures its range on its own, with the true LCPs at its cuts,
-    as a whole trial is measured: its sweep reads every node above its
-    keys, and the shapes add with ``+``. The census of depths 0 and 1 is
-    counted here, once, off the positions whose LCP is below 2, by the
-    sweep's reading of a level. A part resolves the ties in its range
-    itself; keys that all share their first byte are one range, one
-    part's. No key, or one part, is :func:`streamed_shape`.
+    One anonymous shared mapping, made before the fork, holds the 8-byte
+    prefixes of all ``count`` keys and, after them, a row of four int64 per
+    part: its range's start, stop and the LCPs at its two ends. Each part
+    reads about ``count / parts`` of the keys into it (:func:`_part`).
+    Once every part has, this process sorts the prefixes in place and cuts
+    the sorted order into ranges at the adjacent LCPs below 2 nearest equal
+    parts: where the first byte changes, found by ``searchsorted``. It
+    writes the ranges into the rows, and each part reads its own. Two pipes
+    carry no data, only the ends of the two waits: ``filled``, a byte from
+    each forked part, and ``planned``, closed by this process once the rows
+    are written.
+
+    Below nibble depth 2 the lcp-interval tree is 256 independent
+    sub-tries, so each part measures its range on its own, with the true
+    LCPs at its cuts, as a whole trial is measured: its sweep reads every
+    node above its keys, and the shapes add with ``+``. The census of
+    depths 0 and 1 is counted here, once, off the positions whose LCP is
+    below 2, by the sweep's reading of a level. A part resolves the ties in
+    its range itself; keys that all share their first byte are one range,
+    one part's. No key, or one part, is :func:`streamed_shape`.
 
     Memory: the mapping, 8 bytes a key, until the parts have their LCPs;
     each writes them over the front of its range, as the serial kernel
@@ -405,16 +414,13 @@ def split_shape(read: Callable[[int, int], np.ndarray], count: int, parts: int,
     """
     if parts < 2 or not count:
         return streamed_shape(read, count)
-    buffer = mmap.mmap(-1, count * PREFIX_BYTES)
-    bounds = [count * p // parts for p in range(parts + 1)]
-    filled = _pipe()
-    plans = [_pipe() for _ in range(parts - 1)]
+    buffer = mmap.mmap(-1, (count + 4 * parts) * PREFIX_BYTES)
+    filled, planned = _pipe(), _pipe()
     try:
-        shapes = run([partial(_lead, read, buffer, bounds, filled, plans)]
-                     + [partial(_follow, read, buffer, bounds, p, filled, plans)
-                        for p in range(1, parts)])
+        shapes = run([partial(_part, read, buffer, count, parts, p, filled, planned)
+                      for p in range(parts)])
     finally:
-        for end in (*filled, *(end for plan in plans for end in plan)):
+        for end in (*filled, *planned):
             end.close()
     # unmapped with its last view; a close would raise while an error's
     # traceback still holds one
@@ -428,61 +434,43 @@ def _pipe():
     return open(reader, "rb", buffering=0), open(writer, "wb", buffering=0)
 
 
-def _lead(read, buffer: mmap.mmap, bounds: list[int], filled, plans) -> TrieShape:
-    """Part 0 of :func:`split_shape`, in the calling process: fill its keys,
-    wait for every other part's byte on ``filled``, sort, send each part
-    its range down its pipe in ``plans``, then measure its own range. No
-    shape, and no range sent, where a part sent no byte: it failed, and the
+def _part(read, buffer: mmap.mmap, count: int, parts: int, p: int, filled, planned
+          ) -> TrieShape:
+    """Part ``p`` of :func:`split_shape`: fill its share of the prefixes in
+    ``buffer``, then measure the range in its row, after the ``count``
+    prefixes. The pipes carry no data. A forked part writes a byte on
+    ``filled`` and waits for the end of ``planned``. Part 0, in the calling
+    process, waits for the end of ``filled``, sorts, writes the plan's
+    ranges into the rows and closes ``planned``, on an error too, so that no
+    part waits on; it adds the plan's census of depths 0 and 1. A zero row,
+    of a part past the plan's ranges or never written, measures no keys;
+    part 0 measures none where a part sent no byte: it failed, and the
     runner raises its error."""
-    reader, writer = filled
-    try:
-        writer.close()
-        prefixes = np.frombuffer(buffer, np.uint64)
-        _fill_prefixes(read, prefixes[:bounds[1]])
-        waiting = len(plans)
-        while waiting and (got := reader.read(waiting)):
-            waiting -= len(got)
-        if waiting:
-            return EMPTY_SHAPE
-        prefixes.sort()
-        shallow, ranges = _plan(prefixes, len(bounds) - 1)
-        del prefixes
-        # a part past the plan's ranges gets none
-        for (_, sender), part in zip(plans, ranges[1:]):
-            sender.write(pickle.dumps(part))
-    finally:
-        for _, sender in plans:
-            sender.close()
-    return shallow + _measure(read, buffer, bounds[-1], ranges[0])
-
-
-def _follow(read, buffer: mmap.mmap, bounds: list[int], p: int, filled, plans) -> TrieShape:
-    """Part ``p`` of :func:`split_shape`, in a forked process: fill its
-    keys, send a byte on ``filled``, then measure the range read from its
-    pipe. No shape if the pipe closes without one: the plan has fewer
-    ranges than parts, or a part failed and the runner raises its error."""
-    reader, writer = filled
-    reader.close()
-    for i, (receiver, sender) in enumerate(plans):
-        # every copy of a sender must close for its part to see the end
-        sender.close()
-        if i != p - 1:
-            receiver.close()
-    _fill_prefixes(read, np.frombuffer(buffer, np.uint64)[bounds[p]:bounds[p + 1]], bounds[p])
-    writer.write(b"\0")
-    writer.close()
-    message = plans[p - 1][0].read()
-    if not message:
-        return EMPTY_SHAPE
-    # the range comes from the process that forked this one
-    return _measure(read, buffer, bounds[-1], pickle.loads(message))
-
-
-def _measure(read, buffer: mmap.mmap, count: int, part) -> TrieShape:
-    """The shape of :func:`_plan`'s range ``part`` of the ``count`` keys' sorted ``buffer``."""
-    start, stop, ends = part
-    return _range_shape(read, count, np.frombuffer(buffer, np.uint64, stop - start,
-                                                   start * PREFIX_BYTES), ends)
+    prefixes = np.frombuffer(buffer, np.uint64, count)
+    rows = np.frombuffer(buffer, np.int64, offset=count * PREFIX_BYTES).reshape(parts, 4)
+    lo, hi = count * p // parts, count * (p + 1) // parts
+    shallow = EMPTY_SHAPE
+    if p:
+        # every copy of the writer must close for this part to see the end
+        planned[1].close()
+        _fill_prefixes(read, prefixes[lo:hi], lo)
+        filled[1].write(b"\0")
+        filled[1].close()
+        planned[0].read()
+    else:
+        try:
+            filled[1].close()
+            _fill_prefixes(read, prefixes[lo:hi], lo)
+            if len(filled[0].read()) < parts - 1:
+                return EMPTY_SHAPE
+            prefixes.sort()
+            shallow, ranges = _plan(prefixes, parts)
+            rows[:len(ranges)] = [(start, stop, *ends) for start, stop, ends in ranges]
+        finally:
+            planned[1].close()
+    start, stop, first, last = rows[p].tolist()
+    return shallow + _range_shape(read, count, np.frombuffer(
+        buffer, np.uint64, stop - start, start * PREFIX_BYTES), (first, last))
 
 
 def _plan(ordered: np.ndarray, parts: int) -> tuple[TrieShape, list]:

@@ -10,12 +10,14 @@ import importlib.util
 import json
 import platform
 import subprocess
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 import pathlab
 from pathlab import harness
+from test_harness import assert_no_child_left
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -194,3 +196,61 @@ def test_pool_bench_alternates_the_labels_and_the_ways(monkeypatch, tmp_path):
     assert crypto["pooled"]["run_s_each"] == [2.0, 7.0]
     assert crypto["pooled_faster"] == 1
     assert set(runs["b"]["configs"]) == set(configs)
+
+
+def test_ab_bench_alternates_two_checkouts_in_one_process(monkeypatch, tmp_path):
+    """Both labels' pathlab, imported here under the labels' names: after a
+    warm-up call of each, each pair's timings alternate, flipped every other
+    pair, and the packages are gone from ``sys.modules`` after."""
+    import sys
+
+    tool = load_tool()
+    order = []
+
+    def trial(harness):
+        call = tool._trial(100)(harness)
+        return lambda: order.append(harness.__name__) or call()
+
+    def split(harness):
+        harness.SPLIT_FROM_KEYS = 1_000  # the label's own module
+        return tool._trial(3_000, 2)(harness)
+
+    def experiment(harness):
+        return partial(harness.run_experiment, harness.ExperimentConfig(sizes=(100,), trials=2))
+
+    items = {"trial": (4, 2, trial), "split": (2, 1, split), "experiment": (2, 1, experiment)}
+    out = tmp_path / "BENCH_ab.json"
+    out.write_text(json.dumps({"runs": {"other": {}}}))
+    monkeypatch.setitem(tool.BENCHES["ab"], "out", out)
+    monkeypatch.setitem(tool.BENCHES["ab"], "items", items)
+    src = str(ROOT / "src")
+    assert tool.main(["ab", "--label", f"ab_one={src}", "--label", "ab_two"]) == 0
+    assert_no_child_left()
+    assert not {"ab_one", "ab_one.harness", "ab_two", "ab_two.harness"} & set(sys.modules)
+    one, two = ["ab_one.harness"] * 2, ["ab_two.harness"] * 2
+    assert order == ["ab_one.harness", "ab_two.harness"] + (one + two + two + one) * 2
+    runs = json.loads(out.read_text())["runs"]
+    assert runs["other"] == {}
+    measured = runs["ab_two_over_ab_one"]["items"]
+    assert set(measured) == set(items)
+    for item, (pairs, calls, _) in items.items():
+        row = measured[item]
+        assert (row["pairs"], row["calls"]) == (pairs, calls)
+        assert row["ab_one_s"] > 0 and row["ab_two_s"] > 0
+        low, high = row["ratio_quartiles"]
+        assert low <= row["ratio"] <= high
+        assert 0 <= row["second_faster"] <= pairs
+
+
+@pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]])
+def test_ab_bench_takes_exactly_two_labels(labels):
+    with pytest.raises(SystemExit):
+        load_tool().main(["ab", *(arg for name in labels for arg in ("--label", name))])
+
+
+def test_ab_bench_refuses_a_label_named_as_an_imported_module():
+    import sys
+
+    with pytest.raises(ValueError, match="already imported"):
+        load_tool().measure_ab({"json": str(ROOT / "src"), "ab_other": str(ROOT / "src")}, {})
+    assert "json" in sys.modules and "ab_other" not in sys.modules

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import pathlab
 from pathlab import addrgen, harness, kernel
 from pathlab.harness import ExperimentConfig, run_trial
-from test_harness import assert_no_child_left
+from test_harness import assert_no_child_left, open_fds
 from test_sorted_shape import diverging_at, oracle_shape, reader_of
 
 
@@ -63,9 +63,18 @@ def counted_reader(rows: np.ndarray):
     return read, hits, here
 
 
-@pytest.mark.parametrize("parts", [2, 3, 4, 7])
-def test_split_matches_serial_and_oracle_on_random_keys(parts):
-    assert_split_matches(addrgen.generate(3_000, parts), parts)
+# Keys whose prefixes end 8 bytes before a page edge (3,583 with 4 KB
+# pages): the rows of the plan after them straddle the page where the last
+# range's MADV_REMOVE stops.
+PAGE_EDGE = 7 * mmap.PAGESIZE // 8 - 1
+
+
+@pytest.mark.parametrize("count, parts", [
+    *(pytest.param(3_000, parts, id=str(parts)) for parts in (2, 3, 4, 7)),
+    *(pytest.param(PAGE_EDGE, parts, id=f"page-edge-{parts}") for parts in (2, 3, 4, 7)),
+])
+def test_split_matches_serial_and_oracle_on_random_keys(count, parts):
+    assert_split_matches(addrgen.generate(count, parts), parts)
 
 
 @pytest.mark.parametrize("first", [15, 16, 17, 31, 32, 33])
@@ -269,27 +278,44 @@ def test_uniform_report_in_parts_matches_the_serial_report(monkeypatch, cpus, tr
     assert harness.report_to_json(harness.run_experiment(cfg)) == pooled
 
 
-@pytest.mark.parametrize("where", ["part", "caller"])
+@pytest.mark.parametrize("where", ["part", "caller", "last part", "plan", "measure"])
 def test_a_failing_part_fails_the_trial_and_leaves_no_child(monkeypatch, where):
-    """An error while a part reads its keys, in a forked part or in this
-    process, is raised here, and every part is reaped."""
+    """An error in a part is raised here, every part is reaped and every
+    pipe closed: while a forked part or this process reads its keys (the
+    last of three parts: part 1, filled, waits for rows never written), in
+    this process's plan, after the sort and before the rows are written, or
+    in a forked part's measure."""
     caller = os.getpid()
-    generate = addrgen.generate
+    generate, range_shape = addrgen.generate, kernel._range_shape
+    parts = 3 if where == "last part" else 2
+    # the first key of the part whose read fails
+    first = {"caller": 0, "part": 2_500, "last part": 3_333}.get(where)
 
     def failing(count, seed, mode, start):
-        if (os.getpid() == caller) == (where == "caller"):
+        if start == first:
             raise KeyError(f"no keys in the {where}")
         if where == "caller":
             time.sleep(60)
         return generate(count, seed, mode, start)
 
+    def fail(*args):
+        raise KeyError(f"no keys in the {where}")
+
     monkeypatch.setattr(harness, "SPLIT_FROM_KEYS", 1_000)
-    monkeypatch.setattr(addrgen, "generate", failing)
+    if where == "plan":
+        monkeypatch.setattr(kernel, "_plan", fail)
+    elif where == "measure":
+        monkeypatch.setattr(kernel, "_range_shape",
+                            lambda *args: (range_shape if os.getpid() == caller else fail)(*args))
+    else:
+        monkeypatch.setattr(addrgen, "generate", failing)
+    before = open_fds()
     start = time.monotonic()
     with pytest.raises(KeyError, match=f"no keys in the {where}"):
-        run_trial(5_000, 0, ExperimentConfig(sizes=(5_000,), trials=1), 2)
+        run_trial(5_000, 0, ExperimentConfig(sizes=(5_000,), trials=1), parts)
     assert time.monotonic() - start < 30
     assert_no_child_left()
+    assert open_fds() == before
 
 
 MEMORY_SCRIPT = """

@@ -1,7 +1,7 @@
 """Layer benches of the trial kernel, ``crypto`` key derivation and the
-trial pool.
+trial pool, and an A/B of two checkouts in one process.
 
-    python tools/bench_layers.py {kernel,crypto,pool} --label NAME[=SRC] ...
+    python tools/bench_layers.py {kernel,crypto,pool,ab} --label NAME[=SRC] ...
         [--sizes N,N,...]
 
 Each ``--label`` is a ``pathlab`` imported from ``SRC``, a ``src``
@@ -57,12 +57,28 @@ gives each ``run_s``, their median and the largest ``parent_maxrss_mb``
 largest worker, 0 when serial); each config gives ``pooled_over_serial``,
 the ratio of the medians, and ``pooled_faster``, the pairs in which
 ``pooled`` was faster.
+
+``ab`` (exactly two labels, the ``AB_ITEMS``), into ``BENCH_ab.json``
+under ``runs["SECOND_over_FIRST"]``: both labels' ``pathlab`` in this one
+process, each imported as a package of the label's name (its imports are
+relative), with no bytecode written. Each item is a call on a label's
+``harness``: ``run_trial`` at 100 and 1,000 keys (20 calls a timing), a
+1e6-key and a 1e7-key trial in 2 parts, and ``run_experiment`` on the
+``validate-paper`` config. After a warm-up call under each label, the two
+labels' timings alternate in pairs, the first label first in even pairs
+and second in odd ones. Per item: each label's median time a call
+(``NAME_s``), the per-pair ratio second over first, its median
+(``ratio``) and quartiles (``ratio_quartiles``), and ``second_faster``,
+the pairs in which the second label was faster. Memory and start-up are
+left to the fresh-process benches.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
+import importlib.util
 import json
 import os
 import platform
@@ -71,6 +87,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -95,6 +112,23 @@ POOL_CONFIGS = {
     "uniform-100x2000": {"sizes": (100,), "trials": 2_000, "master_seed": 1, "mode": "uniform"},
 }
 WAYS = ("serial", "pooled")
+
+
+def _trial(size: int, parts: int = 1):
+    """An ``ab`` item's call: trial 0 of ``size`` keys in ``parts`` parts."""
+    return lambda harness: partial(harness.run_trial, size, 0, harness.ExperimentConfig(
+        sizes=(size,), trials=1, allow_large=True), parts)
+
+
+# ab: item -> (pairs, calls a timing, the call of no argument on a harness)
+AB_ITEMS = {
+    "run_trial-100": (200, 20, _trial(100)),
+    "run_trial-1000": (200, 20, _trial(1_000)),
+    "run_trial-1e6-2-parts": (30, 1, _trial(1_000_000, 2)),
+    "run_trial-1e7-2-parts": (10, 1, _trial(10_000_000, 2)),
+    "validate-paper": (30, 1, lambda harness: partial(
+        harness.run_experiment, harness.ExperimentConfig(**POOL_CONFIGS["validate-paper"]))),
+}
 
 
 def _median_time(fn, repeats: int):
@@ -249,6 +283,53 @@ def summarize_ways(calls: dict) -> dict:
     return out
 
 
+def load_harness(name: str, src: str):
+    """The harness of the ``pathlab`` in ``src``, imported as package ``name``."""
+    init = Path(src) / "pathlab" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[name])
+    return importlib.import_module(f"{name}.harness")
+
+
+def measure_ab(labels: dict, items: dict) -> dict:
+    """Each of ``items`` under the two ``labels`` (names to ``SRC``), in
+    this process, as the module's docstring describes; the labels' packages
+    are removed from ``sys.modules`` after."""
+    if set(labels) & set(sys.modules):
+        raise ValueError(f"a label is named as a module already imported: {sorted(labels)}")
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    out = {}
+    try:
+        harnesses = [load_harness(name, src) for name, src in labels.items()]
+        for item, (pairs, calls, call) in items.items():
+            fns = [call(harness) for harness in harnesses]
+            for fn in fns:
+                fn()
+            times = ([], [])
+            for i in range(pairs):
+                for k in ((0, 1), (1, 0))[i % 2]:
+                    start = time.perf_counter()
+                    for _ in range(calls):
+                        fns[k]()
+                    times[k].append((time.perf_counter() - start) / calls)
+            ratios = [b / a for a, b in zip(*times)]
+            q1, median, q3 = statistics.quantiles(ratios, n=4)
+            out[item] = {
+                "pairs": pairs, "calls": calls,
+                **{f"{name}_s": round(statistics.median(t), 6)
+                   for name, t in zip(labels, times)},
+                "ratio": round(median, 3), "ratio_quartiles": [round(q1, 3), round(q3, 3)],
+                "second_faster": sum(b < a for a, b in zip(*times))}
+            print(item, out[item], file=sys.stderr)
+    finally:
+        sys.dont_write_bytecode = dont_write
+        for key in [key for key in sys.modules if key.partition(".")[0] in labels]:
+            del sys.modules[key]
+    return out
+
+
 BENCHES = {
     "kernel": {
         "out": ROOT / "BENCH_sorted_shape.json",
@@ -285,6 +366,18 @@ BENCHES = {
             "and pooled (the checkout's rule); per way each run_s, their median and "
             "the largest parent and children ru_maxrss; pooled_over_serial, the "
             "medians' ratio; pooled_faster, the pairs in which pooled was faster"
+        ),
+    },
+    "ab": {
+        "out": ROOT / "BENCH_ab.json",
+        "items": AB_ITEMS,
+        "description": (
+            "tools/bench_layers.py ab: two labels' pathlab in one process, each imported "
+            "under the label's name; per item a warm-up call of each, then `pairs` "
+            "timings of `calls` calls each, alternated, the order flipped every other "
+            "pair; each label's median time a call (NAME_s), the per-pair ratio second "
+            "over first (median `ratio`, `ratio_quartiles`) and the pairs the second "
+            "label was faster in (`second_faster`)"
         ),
     },
 }
@@ -343,20 +436,26 @@ def main(argv=None) -> int:
               for name, _, src in (text.partition("=") for text in args.label)}
     if len(labels) < len(args.label):
         ap.error("each --label needs a name of its own")
-    if args.sizes and args.bench == "pool":
-        ap.error("the pool bench measures its configs, not sizes")
+    if args.sizes and args.bench in ("pool", "ab"):
+        ap.error(f"the {args.bench} bench measures its own items, not sizes")
+    if args.bench == "ab" and len(labels) != 2:
+        ap.error("the ab bench compares exactly two labels")
 
     if args.one is not None:
         [src] = labels.values()
         print(json.dumps(measure(args.bench, args.one, src)))
         return 0
 
-    if args.bench == "pool":
+    if args.bench == "ab":
+        first, second = labels
+        measured = {f"{second}_over_{first}": measure_ab(labels, bench["items"])}
+    elif args.bench == "pool":
         rounds = [[f"{config}:{way}" for way in WAYS]
                   for config in POOL_CONFIGS for _ in range(bench["repeats"])]
+        measured = alternate(args.bench, labels, rounds)
     else:
         rounds = [[str(size)] for size in args.sizes or bench["sizes"]]
-    measured = alternate(args.bench, labels, rounds)
+        measured = alternate(args.bench, labels, rounds)
 
     import numpy as np
 
@@ -365,13 +464,17 @@ def main(argv=None) -> int:
     results = json.loads(bench["out"].read_text()) if bench["out"].exists() else {"runs": {}}
     results["description"] = bench["description"]
     for name, items in measured.items():
-        run = {"repeats": bench["repeats"], "machine": machine}
-        if args.bench == "pool":
+        run = {"machine": machine}
+        if args.bench == "ab":
+            run["items"] = items
+        elif args.bench == "pool":
+            run["repeats"] = bench["repeats"]
             run["configs"] = {
                 config: {"config": POOL_CONFIGS[config], **summarize_ways(
                     {way: items[f"{config}:{way}"] for way in WAYS})}
                 for config in POOL_CONFIGS}
         else:
+            run["repeats"] = bench["repeats"]
             run["sizes"] = {**results["runs"].get(name, {}).get("sizes", {}),
                             **{size: rows[0] for size, rows in items.items()}}
         results["runs"][name] = run
